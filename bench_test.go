@@ -1,9 +1,9 @@
 // Benchmarks regenerating every figure/example of the paper plus the
-// quantitative tables P1–P5 of EXPERIMENTS.md. Run:
+// quantitative tables P1–P16. Run:
 //
 //	go test -bench=. -benchmem
 //
-// Experiment index (EXPERIMENTS.md / DESIGN.md §5):
+// Experiment index:
 //
 //	E1  BenchmarkFig1ParseEncodings      — parse the four Fig. 1 encodings
 //	E2  BenchmarkFig2BuildKyGODDAG       — build the Fig. 2 KyGODDAG
@@ -12,6 +12,7 @@
 //	E5  BenchmarkExample1AnalyzeString   — Definition 4, Example 1
 //	E6  BenchmarkQueryII1                — Query II.1 (substring highlight)
 //	E7  BenchmarkQueryIII1               — Query III.1 (match + restoration)
+//	E6/E7 BenchmarkPaperQueryScaling/*   — Queries II.1 and III.1 at 1/10/100×
 //	P1  BenchmarkBuildScaling/*          — KyGODDAG construction scaling
 //	P2  BenchmarkAxes*/Reference         — interval vs Definition-1-literal axes
 //	P3  BenchmarkDamagedWords*           — KyGODDAG vs fragmentation vs milestones
@@ -116,20 +117,18 @@ return serialize(analyze-string($w, ".*un<a>a</a>we.*"))`,
 		`<res><m>un<a>a</a>we</m>ndendne</res>`)
 }
 
-func BenchmarkQueryII1(b *testing.B) {
-	benchQuery(b, `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+// queryII1 and queryIII1 are the paper's Queries II.1 and III.1: every
+// matching word gets its own analyze-string overlay hierarchy.
+const queryII1 = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
 return (
   let $res := analyze-string($w, ".*unawe.*")
   for $n in $res/child::node()
   return if ($n[self::m]) then <b>{string($n)}</b> else string($n)
   ,
   <br/>
-)`,
-		"<b>unawe</b>ndendne<br/>")
-}
+)`
 
-func BenchmarkQueryIII1(b *testing.B) {
-	benchQuery(b, `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+const queryIII1 = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
 return (
   let $res := analyze-string($w, ".*unawe.*")
   for $n in $res/child::node()
@@ -139,8 +138,53 @@ return (
     else <b>{string($n)}</b>
   ,
   <br/>
-)`,
-		"<i><b>unawe</b></i><b>ndendne</b><br/>")
+)`
+
+func BenchmarkQueryII1(b *testing.B) {
+	benchQuery(b, queryII1, "<b>unawe</b>ndendne<br/>")
+}
+
+func BenchmarkQueryIII1(b *testing.B) {
+	benchQuery(b, queryIII1, "<i><b>unawe</b></i><b>ndendne</b><br/>")
+}
+
+// BenchmarkPaperQueryScaling runs Queries II.1 and III.1 on generated
+// manuscripts at 1/10/100× the Figure 1 fixture. Each match creates an
+// overlay hierarchy, so these rows show how overlay cost grows with the
+// number of matches and the document's leaf count, which the 6-word
+// fixture of BenchmarkQueryII1/III1 cannot. Seed 8 puts 1, 1 and 15
+// matching words in the three sizes.
+func BenchmarkPaperQueryScaling(b *testing.B) {
+	for _, q := range []struct{ name, src string }{{"II1", queryII1}, {"III1", queryIII1}} {
+		cq := xquery.MustCompile(q.src)
+		for _, scale := range []struct {
+			name  string
+			words int
+		}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
+			c := corpus.Generate(corpus.Params{Seed: 8, Words: scale.words, DamageRate: 0.12, RestoreRate: 0.10})
+			d, err := c.Document()
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := cq.Eval(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := xquery.Serialize(res)
+			b.Run(q.name+"/"+scale.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := cq.Eval(d)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := xquery.Serialize(res); got != want {
+						b.Fatalf("got %q, want %q", got, want)
+					}
+				}
+			})
+		}
+	}
 }
 
 // ---- P1: construction scaling ----------------------------------------------

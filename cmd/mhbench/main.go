@@ -1,7 +1,6 @@
-// Command mhbench regenerates every experiment recorded in
-// EXPERIMENTS.md: the qualitative reproductions of the paper's figures,
-// example and queries (E1–E7, printed as paper-vs-measured) and the
-// quantitative tables (P1–P5).
+// Command mhbench regenerates the paper's experiments: the qualitative
+// reproductions of its figures, example and queries (E1–E7, printed as
+// paper-vs-measured) and the quantitative tables (P1–P5).
 //
 // Usage:
 //
@@ -84,7 +83,7 @@ func checkQuery(label, src, paper string) error {
 	fmt.Printf("  measured: %s\n", got)
 	verdict := "MATCH (byte-exact)"
 	if got != paper {
-		verdict = "DIFFERS (see EXPERIMENTS.md for the analysis)"
+		verdict = "DIFFERS from the paper's printed output"
 	}
 	fmt.Printf("  verdict:  %s\n", verdict)
 	return nil

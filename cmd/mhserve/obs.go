@@ -175,7 +175,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // logSlowQuery emits the slow-query log line: the offending query, its
 // trace ID, the observed latency and (when the query ran instrumented)
-// the analyzed plan.
+// the analyzed plan, both as a structured object and as the indented
+// text tree of PlanOp.String.
 func (s *server) logSlowQuery(ctx context.Context, doc, query string, elapsed time.Duration, plan *mhxquery.PlanOp) {
 	attrs := []slog.Attr{
 		slog.String("trace", traceID(ctx)),
@@ -185,7 +186,7 @@ func (s *server) logSlowQuery(ctx context.Context, doc, query string, elapsed ti
 		slog.Duration("threshold", s.slow),
 	}
 	if plan != nil {
-		attrs = append(attrs, slog.Any("plan", plan))
+		attrs = append(attrs, slog.Any("plan", plan), slog.String("plan_text", plan.String()))
 	}
 	s.logger.LogAttrs(ctx, slog.LevelWarn, "slow query", attrs...)
 }

@@ -20,9 +20,12 @@
 // predicates and calls included, with index-vs-scan decisions and
 // cardinalities. -analyze upgrades that to EXPLAIN ANALYZE: each
 // operator additionally reports its observed wall time ("nanos",
-// inclusive of children; the root is the total query time). With -limit N the query evaluates through the
-// streaming cursor engine and stops after N result items (O(answer)
-// work, not O(document)). With -update the update expression (see
+// inclusive of children; the root is the total query time). With
+// -format text, -explain and -analyze print the text result followed
+// by the plan as an indented text tree, one operator per line.
+// With -limit N the query evaluates through the streaming cursor
+// engine and stops after N result items (O(answer) work, not
+// O(document)). With -update the update expression (see
 // Document.Update) is applied first — copy-on-write, producing a new
 // in-process version — and -q then queries the updated document; with
 // no -q the new version number and update statistics are printed as
@@ -130,10 +133,12 @@ func run(hiers []string, query, queryFile, format string, boethius, explain, ana
 		if err != nil {
 			return err
 		}
-		rendered := res.String()
 		if format == "text" {
-			rendered = res.Text()
+			fmt.Println(res.Text())
+			fmt.Print(plan)
+			return nil
 		}
+		rendered := res.String()
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(map[string]any{"result": rendered, "plan": plan})

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
-	"time"
 
 	"mhxquery"
 )
@@ -62,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("EXPLAIN ANALYZE:")
-	printPlan(plan, 1)
+	fmt.Print(plan)
 
 	// The scrape a Prometheus server would collect from GET /metrics.
 	fmt.Println("\nmetrics scrape:")
@@ -77,21 +75,4 @@ func main() {
 			(snap[`mhx_cache_requests_total{cache="plan",result="hit"}`]+
 				snap[`mhx_cache_requests_total{cache="plan",result="miss"}`]))
 	fmt.Printf("name-index builds:   %.0f\n", snap["mhx_nameindex_builds_total"])
-}
-
-func printPlan(op *mhxquery.PlanOp, depth int) {
-	detail := ""
-	if op.Detail != "" {
-		detail = " " + op.Detail
-	}
-	scan := ""
-	if op.Index {
-		scan = " [index]"
-	}
-	fmt.Printf("%s%s%s%s  calls=%d in=%d out=%d time=%v\n",
-		strings.Repeat("  ", depth), op.Op, detail, scan,
-		op.Calls, op.InRows, op.OutRows, time.Duration(op.Nanos))
-	for _, k := range op.Children {
-		printPlan(k, depth+1)
-	}
 }

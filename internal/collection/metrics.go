@@ -25,6 +25,8 @@ import (
 //	mhx_nameindex_builds_total        counter    from-scratch name-index builds (process-wide)
 //	mhx_nameindex_build_seconds_total counter    wall time spent in those builds (process-wide)
 //	mhx_index_maintenance_total       counter    {outcome="patched"|"lazy_rebuild"} update index outcomes (process-wide)
+//	mhx_overlay_hierarchies_total     counter    analyze-string overlay hierarchies created (process-wide)
+//	mhx_overlay_layouts_total         counter    overlay leaf layers built (process-wide)
 //	mhx_wal_fsync_seconds             histogram  WAL group-commit write+fsync latency
 //	mhx_wal_commit_batch_records      histogram  commits covered by one fsync batch
 //	mhx_wal_appends_total             counter    records acknowledged by the log
@@ -41,8 +43,8 @@ import (
 //	mhx_pool_busy_workers             gauge      shared-scheduler workers currently running a job
 //	mhx_pool_queued_jobs              gauge      {class="fanout"|"morsel"} tickets waiting in the shared scheduler
 //
-// The name-index families sample process-wide core counters (builds
-// happen lazily inside Hierarchy methods where no registry is in
+// The name-index and overlay families sample process-wide core
+// counters (builds happen lazily inside core where no registry is in
 // scope), so with several Collections in one process each reports the
 // same process totals; the morsel and pool families likewise sample
 // the process-wide query engine and scheduler.
@@ -95,6 +97,12 @@ func newCollMetrics(c *Collection) *collMetrics {
 	reg.CounterFunc("mhx_nameindex_build_seconds_total",
 		"Wall time spent building structural name indexes, in seconds (process-wide).",
 		func() float64 { return float64(core.GlobalIndexStats().BuildNanos) / 1e9 })
+	reg.CounterFunc("mhx_overlay_hierarchies_total",
+		"Overlay hierarchies created by analyze-string (process-wide).",
+		func() float64 { return float64(core.GlobalOverlayStats().Hierarchies) })
+	reg.CounterFunc("mhx_overlay_layouts_total",
+		"Overlay leaf layers built, for overlays whose leaves a query reached (process-wide).",
+		func() float64 { return float64(core.GlobalOverlayStats().Layouts) })
 	m.fsyncSeconds = reg.Histogram("mhx_wal_fsync_seconds",
 		"WAL group-commit write+fsync latency in seconds.", obs.LatencyBuckets)
 	m.commitBatch = reg.Histogram("mhx_wal_commit_batch_records",

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mhxquery/internal/corpus"
 )
 
 // TestMetricsCatalog checks that ordinary collection traffic populates
@@ -66,7 +68,7 @@ func TestMetricsCatalog(t *testing.T) {
 		"mhx_query_seconds", "mhx_update_commit_seconds", "mhx_cache_requests_total",
 		"mhx_fanout_queue_depth", "mhx_fanout_busy_workers", "mhx_documents",
 		"mhx_nameindex_builds_total", "mhx_nameindex_build_seconds_total",
-		"mhx_index_maintenance_total",
+		"mhx_index_maintenance_total", "mhx_overlay_hierarchies_total", "mhx_overlay_layouts_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
 			t.Errorf("scrape missing family %s", family)
@@ -138,5 +140,56 @@ func TestMetricsRace(t *testing.T) {
 	}
 	if got := snap["mhx_update_commit_seconds_count"]; got != rounds {
 		t.Errorf("update count = %v, want %d", got, rounds)
+	}
+}
+
+// TestOverlayMetrics checks the overlay counters on /metrics: the
+// paper's Queries II.1 and III.1 create one analyze-string overlay per
+// matching word but never reach an overlay leaf, so they build no
+// overlay leaf layer; a query that steps to an overlay's leaves builds
+// exactly one.
+func TestOverlayMetrics(t *testing.T) {
+	c := New(Options{Workers: 1})
+	d, err := corpus.Generate(corpus.Params{Seed: 8, Words: 600, DamageRate: 0.12, RestoreRate: 0.10}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Put("ms", d); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (hiers, layouts float64) {
+		snap := c.Metrics().Snapshot()
+		return snap["mhx_overlay_hierarchies_total"], snap["mhx_overlay_layouts_total"]
+	}
+	const wordQ = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+return (
+  let $res := analyze-string($w, ".*unawe.*")
+  for $n in $res/child::node()
+  return `
+	for name, src := range map[string]string{
+		"II.1": wordQ + `if ($n[self::m]) then <b>{string($n)}</b> else string($n), <br/>)`,
+		"III.1": wordQ + `if ($n[self::m][xancestor::res('restoration') or xdescendant::res('restoration') or overlapping::res('restoration')])
+    then <i><b>{string($n)}</b></i> else <b>{string($n)}</b>, <br/>)`,
+	} {
+		h0, l0 := counts()
+		res, err := c.Query("ms", src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h1, l1 := counts()
+		if len(res) == 0 || h1-h0 < 2 {
+			t.Fatalf("%s: %d items, %v overlays: the manuscript should match several words", name, len(res), h1-h0)
+		}
+		if l1 != l0 {
+			t.Errorf("%s: built %v overlay leaf layers for %v overlays, want 0", name, l1-l0, h1-h0)
+		}
+	}
+	h0, l0 := counts()
+	res, err := c.Query("ms", `count(analyze-string((//w)[1], "e")/descendant::leaf())`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1, l1 := counts(); len(res) != 1 || h1-h0 != 1 || l1-l0 != 1 {
+		t.Errorf("leaf query: %v overlays, %v leaf layers, want 1 and 1", h1-h0, l1-l0)
 	}
 }

@@ -128,9 +128,13 @@ func (d *Document) Eval(a Axis, n *dom.Node) []*dom.Node {
 // SharedAxis returns the axis result as a read-only view of the
 // document's internal arrays when one exists for (a, n): no allocation,
 // no copying. ok=false means no contiguous view exists and the caller
-// must use AppendAxis. Callers must never mutate the returned slice.
+// must use AppendAxis (or AppendAxisNoLeaves). Callers must never mutate
+// the returned slice.
 func (d *Document) SharedAxis(a Axis, n *dom.Node) (nodes []*dom.Node, ok bool) {
-	d.ensureLayout()
+	if a.Extended() {
+		return nil, false
+	}
+	d.ensureFor(a, n, true)
 	switch a {
 	case AxisAttribute:
 		if n.Kind == dom.Element {
@@ -140,7 +144,10 @@ func (d *Document) SharedAxis(a Axis, n *dom.Node) (nodes []*dom.Node, ok bool) 
 	case AxisChild:
 		switch {
 		case n == d.Root:
-			return d.rootKids, true
+			// Overlays keep no root-children cache: AddHierarchy would
+			// copy every hierarchy's top-level nodes. AppendAxis
+			// assembles them instead.
+			return d.rootKids, d.Base == nil
 		case n.Kind == dom.Text:
 			return d.LeavesOf(n), true
 		case n.Kind == dom.Element:
@@ -164,7 +171,7 @@ func (d *Document) SharedAxis(a Axis, n *dom.Node) (nodes []*dom.Node, ok bool) 
 // Eval with caller-owned storage, so per-step result buffers can be
 // reused across context nodes.
 func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node {
-	d.ensureLayout()
+	d.ensureFor(a, n, true)
 	switch a {
 	case AxisSelf:
 		return append(dst, n)
@@ -194,13 +201,64 @@ func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node 
 	case AxisPrecedingSibling:
 		return d.siblings(dst, n, false)
 	}
-	return d.extendedAxis(dst, a, n)
+	return d.extendedAxis(dst, a, n, true)
+}
+
+// AppendAxisNoLeaves is AppendAxis for a node test that cannot match a
+// leaf (a name test, * or text()): an extended axis's result leaves the
+// leaves out, so on an overlay an extended axis from a non-leaf context
+// never builds the leaf layer (ensureFor). A standard axis is answered
+// as by AppendAxis, leaves included.
+func (d *Document) AppendAxisNoLeaves(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node {
+	if !a.Extended() {
+		return d.AppendAxis(dst, a, n)
+	}
+	d.ensureFor(a, n, false)
+	return d.extendedAxis(dst, a, n, false)
+}
+
+// ensureFor opens the layout gate before evaluating axis a from n, when
+// the evaluation needs what the gate builds; leaves=false means leaf
+// results are not wanted (AppendAxisNoLeaves). A frozen document's
+// hierarchies share the gate with its leaf layer, so it always opens
+// there. An overlay's hierarchies are materialized by AddHierarchy, so
+// it opens only when the (axis, context) pair can yield or read a leaf:
+// child of an element, the overlap axes and xancestor of a node with a
+// non-empty span never open it.
+func (d *Document) ensureFor(a Axis, n *dom.Node, leaves bool) {
+	if d.Base == nil || d.readsLeaves(a, n, leaves) {
+		d.ensureLayout()
+	}
+}
+
+// readsLeaves reports whether evaluating axis a from n can yield or read
+// a leaf of d.
+func (d *Document) readsLeaves(a Axis, n *dom.Node, leaves bool) bool {
+	if n.Kind == dom.Leaf {
+		return true
+	}
+	switch a {
+	case AxisChild:
+		return n.Kind == dom.Text
+	case AxisDescendant, AxisDescendantOrSelf:
+		return n == d.Root || n.Kind == dom.Text || (n.Kind == dom.Element && n.Hier != "")
+	case AxisXDescendant, AxisXFollowing, AxisXPreceding:
+		return leaves
+	case AxisXAncestor:
+		// The literal ∅-semantics scan (extendedScan) makes every leaf an
+		// xancestor of an empty-span node.
+		return leaves && n != d.Root && emptySpan(n)
+	}
+	return false
 }
 
 func (d *Document) children(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	switch {
 	case n == d.Root:
-		return append(dst, d.rootKids...)
+		for _, h := range d.Hiers {
+			dst = append(dst, h.Top...)
+		}
+		return dst
 	case n.Kind == dom.Text:
 		return append(dst, d.LeavesOf(n)...)
 	case n.Kind == dom.Element:
@@ -448,29 +506,30 @@ func (d *Document) inAncestorOrSelf(n, m *dom.Node) bool {
 
 // extendedAxis dispatches a Definition 1 axis to the indexed
 // implementation (axesidx.go); the degenerate empty-leaf-set cases keep
-// the literal ∅-semantics via the full scan.
-func (d *Document) extendedAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node {
+// the literal ∅-semantics via the full scan. leaves=false leaves the
+// leaf layer out of the result.
+func (d *Document) extendedAxis(dst []*dom.Node, a Axis, n *dom.Node, leaves bool) []*dom.Node {
 	if !d.spanNode(n) {
 		return dst
 	}
 	switch a {
 	case AxisXAncestor, AxisXDescendant:
 		if n != d.Root && emptySpan(n) {
-			return append(dst, d.extendedScan(a, n)...)
+			return append(dst, d.extendedScan(a, n, leaves)...)
 		}
 		if a == AxisXAncestor {
 			return d.xancestorIdx(dst, n)
 		}
-		return d.xdescendantIdx(dst, n)
+		return d.xdescendantIdx(dst, n, leaves)
 	default:
 		if emptySpan(n) {
 			return dst
 		}
 		switch a {
 		case AxisXFollowing:
-			return d.xfollowingIdx(dst, n)
+			return d.xfollowingIdx(dst, n, leaves)
 		case AxisXPreceding:
-			return d.xprecedingIdx(dst, n)
+			return d.xprecedingIdx(dst, n, leaves)
 		case AxisPrecedingOverlapping, AxisFollowingOverlapping, AxisOverlapping:
 			return d.overlapIdx(dst, a, n)
 		}
@@ -489,14 +548,14 @@ func (d *Document) EvalScan(a Axis, n *dom.Node) []*dom.Node {
 	if !d.spanNode(n) {
 		return nil
 	}
-	return d.extendedScan(a, n)
+	return d.extendedScan(a, n, true)
 }
 
 // extendedScan evaluates one of the Definition 1 axes by scanning all
 // candidate nodes (root, every hierarchy node, every leaf — the node set
-// N of the KyGODDAG) with an O(1) interval predicate. Results are in
-// document order by construction.
-func (d *Document) extendedScan(a Axis, n *dom.Node) []*dom.Node {
+// N of the KyGODDAG; leaves=false skips the leaves) with an O(1)
+// interval predicate. Results are in document order by construction.
+func (d *Document) extendedScan(a Axis, n *dom.Node, leaves bool) []*dom.Node {
 	var pred func(m *dom.Node) bool
 	switch a {
 	case AxisXAncestor:
@@ -556,9 +615,11 @@ func (d *Document) extendedScan(a Axis, n *dom.Node) []*dom.Node {
 			}
 		}
 	}
-	for _, l := range d.Leaves {
-		if pred(l) {
-			out = append(out, l)
+	if leaves {
+		for _, l := range d.Leaves {
+			if pred(l) {
+				out = append(out, l)
+			}
 		}
 	}
 	if a.Reverse() {

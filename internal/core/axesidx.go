@@ -137,10 +137,16 @@ func (d *Document) xancestorIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	return dst
 }
 
-func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
+// The leaves flag of xdescendantIdx, xfollowingIdx and xprecedingIdx
+// selects whether the leaf layer's share of the result is appended.
+
+func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node, leaves bool) []*dom.Node {
 	if n == d.Root {
 		for _, h := range d.Hiers {
 			dst = append(dst, h.Nodes...)
+		}
+		if !leaves {
+			return dst
 		}
 		return append(dst, d.Leaves...)
 	}
@@ -166,11 +172,13 @@ func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 			dst = append(dst, m)
 		}
 	}
-	lo := d.leafLow(n.Start)
-	hi := d.leafCountEndingBy(n.End)
-	for i := lo; i < hi; i++ {
-		if d.Leaves[i] != n {
-			dst = append(dst, d.Leaves[i])
+	if leaves {
+		lo := d.leafLow(n.Start)
+		hi := d.leafCountEndingBy(n.End)
+		for i := lo; i < hi; i++ {
+			if d.Leaves[i] != n {
+				dst = append(dst, d.Leaves[i])
+			}
 		}
 	}
 	if len(d.empties) > 0 {
@@ -179,7 +187,7 @@ func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	return dst
 }
 
-func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node, leaves bool) []*dom.Node {
 	for _, h := range d.Hiers {
 		for i := h.startIndex(n.End); i < len(h.Nodes); i++ {
 			if m := h.Nodes[i]; !emptySpan(m) {
@@ -187,11 +195,14 @@ func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 			}
 		}
 	}
+	if !leaves {
+		return dst
+	}
 	lo := d.leafLow(n.End)
 	return append(dst, d.Leaves[lo:]...)
 }
 
-func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node, leaves bool) []*dom.Node {
 	base := len(dst)
 	for _, h := range d.Hiers {
 		k := sort.Search(len(h.byEnd), func(i int) bool { return h.byEnd[i].End > n.Start })
@@ -201,7 +212,9 @@ func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 			}
 		}
 	}
-	dst = append(dst, d.Leaves[:d.leafCountEndingBy(n.Start)]...)
+	if leaves {
+		dst = append(dst, d.Leaves[:d.leafCountEndingBy(n.Start)]...)
+	}
 	dst = dst[:base+len(SortDoc(dst[base:]))]
 	reverseNodes(dst[base:])
 	return dst

@@ -135,13 +135,22 @@ func (h *Hierarchy) sortByEnd() {
 }
 
 // ensureLayout materializes every hierarchy plus the leaf layer. It is
-// the document-level choke point: axis evaluation, updates and exports
-// call it on entry. Eagerly built documents pay one nil check.
+// the document-level choke point: axis evaluation (ensureFor), updates
+// and exports call it on entry. Eagerly built documents pay one nil
+// check. An overlay (AddHierarchy) uses the same gate for its leaf layer
+// alone — its hierarchies are already materialized — and builds it from
+// its base's, building that first if the base is an overlay too.
 func (d *Document) ensureLayout() {
 	if d.layoutOnce == nil {
 		return
 	}
 	d.layoutOnce.Do(func() {
+		if d.Base != nil {
+			d.Base.ensureLayout()
+			d.partitionFrom(d.Base, d.Hiers[len(d.Hiers)-1])
+			overlayLayouts.Add(1)
+			return
+		}
 		for _, h := range d.Hiers {
 			h.ensure()
 		}
@@ -153,9 +162,9 @@ func (d *Document) ensureLayout() {
 }
 
 // Materialize forces full construction of the document's node storage
-// and leaf layer — the state an eagerly built document starts in. It
-// is safe (and cheap) on already-materialized documents and safe for
-// concurrent use.
+// and leaf layer — the state an eagerly built document starts in — for
+// a frozen document or an overlay. It is safe (and cheap) on
+// already-materialized documents and safe for concurrent use.
 func (d *Document) Materialize() {
 	d.ensureLayout()
 }

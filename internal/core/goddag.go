@@ -6,9 +6,10 @@
 // text node that contains them in each hierarchy.
 //
 // The package provides construction (Build), overlay documents for the
-// temporary hierarchies created by analyze-string (AddHierarchy), the
-// standard XPath axes confined to one hierarchy component, the paper's
-// extended multihierarchical axes (Definition 1) in both a fast
+// temporary hierarchies created by analyze-string (AddHierarchy, whose
+// leaf layer is built only when an axis first yields or reads a leaf),
+// the standard XPath axes confined to one hierarchy component, the
+// paper's extended multihierarchical axes (Definition 1) in both a fast
 // interval-arithmetic implementation and a literal set-based reference
 // implementation, the stable node order of Definition 3 (dom.Compare),
 // and diagnostic exports (DOT graphs and leaf tables, reproducing the
@@ -78,6 +79,8 @@ type Document struct {
 	Hiers []*Hierarchy
 	// Bounds is the sorted array of all markup boundary offsets,
 	// including 0 and len(Text); leaf i spans [Bounds[i], Bounds[i+1]).
+	// An overlay builds it with its leaf layer, so read it (and Leaves)
+	// directly only after Materialize.
 	Bounds []int
 	// Leaves is the leaf layer, in text order.
 	Leaves []*dom.Node
@@ -114,19 +117,31 @@ type Document struct {
 	// excepted — they share their owner's Ord and have no ordinal).
 	ordBase  []int
 	leafBase int
-	// rootKids caches RootChildren for axis evaluation.
+	// rootKids caches RootChildren for SharedAxis; overlays leave it
+	// nil.
 	rootKids []*dom.Node
 
+	// added and leafCount describe an overlay's partition without
+	// building it: added holds, sorted, the boundary offsets the
+	// overlay's hierarchy adds to its base's, and leafCount is the base's
+	// leaf count plus len(added).
+	added     []int
+	leafCount int
+
 	// layoutOnce, when non-nil, guards the lazy materialization of a
-	// frozen document's hierarchies and leaf layer (frozen.go). Eagerly
-	// built documents leave it nil.
+	// frozen document's hierarchies and leaf layer, or of an overlay's
+	// leaf layer (frozen.go). Eagerly built documents leave it nil.
 	layoutOnce *sync.Once
 }
 
-// numLeaves is the leaf count implied by the boundary array — equal to
-// len(Leaves) once the leaf layer is built, but available before a
-// frozen document materializes it (Bounds is always eager).
+// numLeaves is the leaf count — equal to len(Leaves) once the leaf
+// layer is built, but available before a frozen document or an overlay
+// materializes it (a frozen document's Bounds are eager, an overlay's
+// count is fixed by AddHierarchy).
 func (d *Document) numLeaves() int {
+	if d.Base != nil {
+		return d.leafCount
+	}
 	if n := len(d.Bounds) - 1; n > 0 {
 		return n
 	}
@@ -159,6 +174,7 @@ func (d *Document) OrdinalOf(n *dom.Node) (int, bool) {
 		return 0, true
 	}
 	if n.Kind == dom.Leaf {
+		d.ensureLayout()
 		if n.Ord < len(d.Leaves) && d.Leaves[n.Ord] == n {
 			return d.leafBase + n.Ord, true
 		}
@@ -174,8 +190,9 @@ func (d *Document) OrdinalOf(n *dom.Node) (int, bool) {
 }
 
 // OrdinalSpace is the exclusive upper bound of OrdinalOf over this
-// document: 1 (root) + all hierarchy nodes + all leaves. It is
-// derived from the boundary array, so it needs no materialization.
+// document: 1 (root) + all hierarchy nodes + all leaves. It needs no
+// materialization: the leaf count comes from a frozen document's eager
+// boundary array or an overlay's count fixed at AddHierarchy.
 func (d *Document) OrdinalSpace() int { return d.leafBase + d.numLeaves() }
 
 // Build constructs the KyGODDAG for the given hierarchy encodings. It
@@ -331,7 +348,7 @@ func (d *Document) buildLeaves() {
 			if n.Kind != dom.Text {
 				continue
 			}
-			lo, hi := d.LeafRange(n)
+			lo, hi := d.leafRange(n)
 			for i := lo; i < hi; i++ {
 				counts[i]++
 			}
@@ -350,7 +367,7 @@ func (d *Document) buildLeaves() {
 			if n.Kind != dom.Text {
 				continue
 			}
-			lo, hi := d.LeafRange(n)
+			lo, hi := d.leafRange(n)
 			for i := lo; i < hi; i++ {
 				d.leafPar[i] = append(d.leafPar[i], n)
 			}
@@ -409,32 +426,17 @@ func (d *Document) finishLayout() {
 	d.leafBase = ord
 }
 
-// partitionFrom computes the overlay's boundary array and leaf layer
-// incrementally from the base document: the new hierarchy's boundaries
-// split the base leaves, and each fragment inherits the covering base
-// leaf's parent links plus the covering text node of the new hierarchy.
-// This keeps an analyze-string overlay's cost proportional to the leaf
-// count instead of re-deriving every hierarchy's text→leaf edges — the
-// dominant cost of the paper's Query II/III evaluations. The result is
-// field-for-field what partition would compute.
+// partitionFrom builds the overlay's boundary array and leaf layer
+// incrementally from the base document's: the boundary offsets the new
+// hierarchy adds (d.added, fixed by AddHierarchy) split the base leaves,
+// and each fragment inherits the covering base leaf's parent links plus
+// the covering text node of the new hierarchy. This keeps the build
+// proportional to the leaf count instead of re-deriving every
+// hierarchy's text→leaf edges. It runs under the overlay's layout gate
+// (frozen.go), only once an axis can yield or read one of the overlay's
+// leaves; the result is field-for-field what partition would compute.
 func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
-	// Sorted, deduplicated boundary offsets contributed by the new
-	// hierarchy, merged with the base bounds (which already contain 0
-	// and len(Text)).
-	add := make([]int, 0, 2*len(h.Nodes))
-	for _, n := range h.Nodes {
-		add = append(add, n.Start, n.End)
-	}
-	sort.Ints(add)
-	w := 0
-	for i, b := range add {
-		if i == 0 || b != add[w-1] {
-			add[w] = b
-			w++
-		}
-	}
-	add = add[:w]
-
+	add := d.added
 	bounds := make([]int, 0, len(base.Bounds)+len(add))
 	i, j := 0, 0
 	for i < len(base.Bounds) || j < len(add) {
@@ -496,30 +498,35 @@ func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
 			d.leafPar[k] = np
 		}
 	}
+}
 
-	// Empty-span nodes: the base's plus the new hierarchy's, in the
-	// same hierarchy-scan order partition produces.
-	var newEmpties []*dom.Node
-	for _, n := range h.Nodes {
-		if n.Start >= n.End {
-			newEmpties = append(newEmpties, n)
+// hasBound reports whether p is one of d's leaf boundaries without
+// building an overlay's Bounds: an overlay's boundaries are its base's
+// plus the ones it added, and the lineage ends at a document whose
+// Bounds are eager.
+func (d *Document) hasBound(p int) bool {
+	for ; d.Base != nil; d = d.Base {
+		if a := d.added; len(a) > 0 && a[0] <= p && p <= a[len(a)-1] {
+			if i := sort.SearchInts(a, p); a[i] == p {
+				return true
+			}
 		}
 	}
-	d.empties = base.empties
-	if len(newEmpties) > 0 {
-		d.empties = make([]*dom.Node, 0, len(base.empties)+len(newEmpties))
-		d.empties = append(append(d.empties, base.empties...), newEmpties...)
-	}
-
-	d.finishLayout()
-	d.rootKids = make([]*dom.Node, 0, len(base.rootKids)+len(h.Top))
-	d.rootKids = append(append(d.rootKids, base.rootKids...), h.Top...)
+	i := sort.SearchInts(d.Bounds, p)
+	return i < len(d.Bounds) && d.Bounds[i] == p
 }
 
 // LeafRange returns the half-open leaf-index interval [lo,hi) covered by
 // the node, i.e. leaves(n) of the paper. Nodes without a base-text span
 // (attributes, comments, constructed nodes) yield an empty interval.
 func (d *Document) LeafRange(n *dom.Node) (lo, hi int) {
+	d.ensureLayout()
+	return d.leafRange(n)
+}
+
+// leafRange is LeafRange over an already built boundary array, for use
+// inside the materialization itself (buildLeaves).
+func (d *Document) leafRange(n *dom.Node) (lo, hi int) {
 	switch n.Kind {
 	case dom.Leaf:
 		return n.Ord, n.Ord + 1
@@ -540,7 +547,7 @@ func (d *Document) LeafRange(n *dom.Node) (lo, hi int) {
 // LeavesOf returns the leaves covered by a node, in text order.
 func (d *Document) LeavesOf(n *dom.Node) []*dom.Node {
 	d.ensureLayout()
-	lo, hi := d.LeafRange(n)
+	lo, hi := d.leafRange(n)
 	return d.Leaves[lo:hi]
 }
 
@@ -592,6 +599,7 @@ func (d *Document) Owns(n *dom.Node) bool {
 		return true
 	}
 	if n.Kind == dom.Leaf {
+		d.ensureLayout()
 		return n.Ord < len(d.Leaves) && d.Leaves[n.Ord] == n
 	}
 	h, ok := d.byName[n.Hier]
@@ -602,8 +610,17 @@ func (d *Document) Owns(n *dom.Node) bool {
 // hierarchy whose top-level element is top. The tree's Start/End spans
 // must already be expressed in d.Text coordinates (it may cover only a
 // sub-span of S, as the temporary hierarchies of analyze-string do). The
-// base document is never mutated: hierarchies are shared, the boundary
-// array and leaf layer are recomputed for the overlay.
+// base document is never mutated: hierarchies are shared.
+//
+// Creating the overlay costs time in the size of the new hierarchy, the
+// hierarchy count and the name table, not in the leaf count: its
+// ordinal layout, empty-span list and leaf count are set here, but its
+// boundary array and leaf layer (Bounds, Leaves and the text→leaf
+// edges) are built by partitionFrom under the overlay's layout gate, the
+// first time an axis step can yield or read one of its leaves (ensureFor
+// in axes.go) or a caller asks for them (LeavesOf, LeafParents,
+// Materialize). Queries that analyze many nodes but never visit a leaf,
+// such as the paper's Queries II.1 and III.1, build none.
 func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Document, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: empty hierarchy name")
@@ -617,15 +634,20 @@ func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Documen
 	if top.Start < 0 || top.End > len(d.Text) || top.Start > top.End {
 		return nil, fmt.Errorf("core: hierarchy %q: span [%d,%d) outside base text", name, top.Start, top.End)
 	}
-	// The overlay's partition is computed from the base's leaf layer.
-	d.ensureLayout()
+	if d.Base == nil {
+		// The lineage's first document materializes once (a frozen
+		// image's hierarchies and leaf layer); every overlay above it
+		// shares those hierarchies and builds only its own leaf layer.
+		d.ensureLayout()
+	}
 	nd := &Document{
-		Text:   d.Text,
-		Root:   d.Root,
-		Base:   d,
-		Rev:    d.Rev,
-		byName: make(map[string]*Hierarchy, len(d.Hiers)+1),
-		names:  make(map[string]int32, len(d.names)+4),
+		Text:       d.Text,
+		Root:       d.Root,
+		Base:       d,
+		Rev:        d.Rev,
+		byName:     make(map[string]*Hierarchy, len(d.Hiers)+1),
+		names:      make(map[string]int32, len(d.names)+4),
+		layoutOnce: new(sync.Once),
 	}
 	// Copy the base name table (never mutate it: the base document stays
 	// live and may be queried concurrently) so shared nodes keep
@@ -641,7 +663,39 @@ func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Documen
 	for _, hh := range nd.Hiers {
 		nd.byName[hh.Name] = hh
 	}
-	nd.partitionFrom(d, h)
+
+	// The new hierarchy's boundary offsets that d lacks, sorted and
+	// deduplicated: each one splits a leaf of d in two.
+	add := make([]int, 0, 2*len(h.Nodes))
+	for _, n := range h.Nodes {
+		add = append(add, n.Start, n.End)
+	}
+	sort.Ints(add)
+	w := 0
+	for i, p := range add {
+		if (i == 0 || p != add[i-1]) && !d.hasBound(p) {
+			add[w] = p
+			w++
+		}
+	}
+	nd.added = add[:w:w]
+	nd.leafCount = d.numLeaves() + len(nd.added)
+
+	// Empty-span nodes: the base's plus the new hierarchy's, in the
+	// same hierarchy-scan order partition produces.
+	var newEmpties []*dom.Node
+	for _, n := range h.Nodes {
+		if n.Start >= n.End {
+			newEmpties = append(newEmpties, n)
+		}
+	}
+	nd.empties = d.empties
+	if len(newEmpties) > 0 {
+		nd.empties = make([]*dom.Node, 0, len(d.empties)+len(newEmpties))
+		nd.empties = append(append(nd.empties, d.empties...), newEmpties...)
+	}
+	nd.finishLayout()
+	overlayHierarchies.Add(1)
 	return nd, nil
 }
 

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mhxquery/internal/core"
@@ -211,6 +213,9 @@ func TestAddHierarchyOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An overlay builds its leaf layer lazily; Materialize builds it
+	// before od.Leaves is read directly, as for frozen documents.
+	od.Materialize()
 	// The base document is untouched.
 	if len(d.Leaves) != baseLeaves || len(d.Hiers) != baseHiers {
 		t.Fatal("base document mutated by overlay")
@@ -329,6 +334,70 @@ func TestSortDoc(t *testing.T) {
 	for i := 1; i < len(sorted); i++ {
 		if dom.Compare(sorted[i-1], sorted[i]) >= 0 {
 			t.Error("SortDoc not sorted")
+		}
+	}
+}
+
+// TestOverlayLayoutConcurrent reads a chain of three lazy overlays from
+// eight goroutines at once, mixing reads that leave the leaf layer
+// unbuilt with ones that build it; run with -race this verifies that the
+// layout gate orders the build before every leaf read. Every goroutine
+// must see the same results.
+func TestOverlayLayoutConcurrent(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 40, DamageRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := d.HierarchyByName("structure").Nodes
+	od := d
+	var tops []*dom.Node
+	for _, w := range words {
+		if w.Name != "w" || w.End-w.Start < 3 {
+			continue
+		}
+		res := dom.NewElement("res")
+		res.Start, res.End = w.Start, w.End
+		m := dom.NewElement("m")
+		m.Start, m.End = w.Start+1, w.Start+2
+		txt := dom.NewText(d.Text[m.Start:m.End])
+		txt.Start, txt.End = m.Start, m.End
+		m.AppendChild(txt)
+		res.AppendChild(m)
+		if od, err = od.AddHierarchy(fmt.Sprintf("rest%d", len(tops)), res, true); err != nil {
+			t.Fatal(err)
+		}
+		if tops = append(tops, res); len(tops) == 3 {
+			break
+		}
+	}
+	read := func() string {
+		var b strings.Builder
+		for _, top := range tops {
+			m := top.Children[0]
+			fmt.Fprint(&b, od.OrdinalSpace(), len(od.AppendAxisNoLeaves(nil, core.AxisXDescendant, top)),
+				len(od.Eval(core.AxisOverlapping, m)), len(od.Eval(core.AxisXAncestor, m)), ";")
+			leaves := od.Eval(core.AxisXDescendant, top)
+			for _, l := range od.LeavesOf(m) {
+				ord, ok := od.OrdinalOf(l)
+				fmt.Fprint(&b, len(leaves), ord, ok, len(od.LeafParents(l)), od.Owns(l), ";")
+			}
+		}
+		return b.String()
+	}
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = read()
+		}(g)
+	}
+	wg.Wait()
+	want := read()
+	for g, s := range got {
+		if s != want {
+			t.Errorf("goroutine %d read %q, want %q", g, s, want)
 		}
 	}
 }

@@ -23,6 +23,13 @@ var (
 	synopsisBuildNanos atomic.Int64
 	synopsisPatched    atomic.Uint64
 	synopsisLazyReset  atomic.Uint64
+
+	// Overlays (AddHierarchy) and the overlay leaf layers built for them
+	// (partitionFrom). A leaf layer is built only when a query reaches
+	// one of the overlay's leaves, so the ratio shows how many overlays
+	// a workload pays that cost for.
+	overlayHierarchies atomic.Uint64
+	overlayLayouts     atomic.Uint64
 )
 
 // IndexStats is a snapshot of the process-wide name-index counters.
@@ -58,5 +65,24 @@ func GlobalIndexStats() IndexStats {
 		SynopsisBuildNanos: synopsisBuildNanos.Load(),
 		SynopsisPatched:    synopsisPatched.Load(),
 		SynopsisLazyReset:  synopsisLazyReset.Load(),
+	}
+}
+
+// OverlayStats is a snapshot of the process-wide overlay counters.
+type OverlayStats struct {
+	// Hierarchies counts overlay documents created by AddHierarchy (one
+	// per analyze-string call).
+	Hierarchies uint64
+	// Layouts counts overlay leaf layers built: overlays some axis step
+	// or caller needed the leaves of.
+	Layouts uint64
+}
+
+// GlobalOverlayStats returns the current process-wide overlay counters.
+// Values are monotonic for the life of the process.
+func GlobalOverlayStats() OverlayStats {
+	return OverlayStats{
+		Hierarchies: overlayHierarchies.Load(),
+		Layouts:     overlayLayouts.Load(),
 	}
 }

@@ -479,6 +479,117 @@ func TestQuickOrdinalSetMatchesSortDoc(t *testing.T) {
 	}
 }
 
+// leafShape is one leaf of a partition as partitionShape reports it.
+type leafShape struct {
+	start, end int
+	data       string
+	parents    string
+}
+
+// partitionShape renders a materialized document's boundary array and
+// leaf layer, parent links included, for comparison.
+func partitionShape(doc *core.Document) (bounds []int, leaves []leafShape) {
+	bounds = append(bounds, doc.Bounds...)
+	for _, l := range doc.Leaves {
+		var p strings.Builder
+		for _, q := range doc.LeafParents(l) {
+			fmt.Fprintf(&p, "%s:%d;", q.Hier, q.Ord)
+		}
+		leaves = append(leaves, leafShape{l.Start, l.End, l.Data, p.String()})
+	}
+	return
+}
+
+// randomOverlayTop builds an analyze-string-like temporary tree over a
+// random non-empty span of text: a <res> element holding two text nodes
+// split at the span's midpoint.
+func randomOverlayTop(r *rand.Rand, text string) *dom.Node {
+	s := r.Intn(len(text) - 1)
+	e := s + 1 + r.Intn(len(text)-s-1)
+	top := dom.NewElement("res")
+	top.Start, top.End = s, e
+	mid := s + (e-s)/2
+	t1 := dom.NewText(text[s:mid])
+	t1.Start, t1.End = s, mid
+	t2 := dom.NewText(text[mid:e])
+	t2.Start, t2.End = mid, e
+	top.AppendChild(t1)
+	top.AppendChild(t2)
+	return top
+}
+
+// TestQuickOverlayChainLazyLayout stacks three overlays on a random
+// document. Creating them and asking for their ordinal spaces builds no
+// leaf layer; the first leaf access on the top overlay builds all three
+// (each from the one below), and each must be field-for-field what the
+// full recompute produces, with the ordinal space AddHierarchy counted
+// matching the built layer. A base leaf keeps its own parent links when
+// resolved through the top overlay.
+func TestQuickOverlayChainLazyLayout(t *testing.T) {
+	f := func(seed int64) bool {
+		d, err := buildRandom(seed)
+		if err != nil {
+			return false
+		}
+		if len(d.Text) < 2 {
+			return true
+		}
+		r := rand.New(rand.NewSource(seed ^ 0x0c4a1))
+		before := core.GlobalOverlayStats()
+		chain := []*core.Document{d}
+		for k := 0; k < 3; k++ {
+			od, err := chain[k].AddHierarchy(fmt.Sprintf("rest%d", k), randomOverlayTop(r, d.Text), true)
+			if err != nil {
+				t.Logf("seed %d: overlay %d: %v", seed, k, err)
+				return false
+			}
+			chain = append(chain, od)
+		}
+		spaces := make([]int, len(chain))
+		for i, od := range chain {
+			spaces[i] = od.OrdinalSpace()
+		}
+		if got := core.GlobalOverlayStats(); got.Hierarchies-before.Hierarchies != 3 || got.Layouts != before.Layouts {
+			t.Logf("seed %d: creating 3 overlays: %+v -> %+v, want 3 overlays and no layout", seed, before, got)
+			return false
+		}
+		top := chain[3]
+		top.LeavesOf(top.Root)
+		if got := core.GlobalOverlayStats(); got.Layouts-before.Layouts != 3 {
+			t.Logf("seed %d: leaf access on the top overlay built %d layouts, want 3", seed, got.Layouts-before.Layouts)
+			return false
+		}
+		for i, od := range chain[1:] {
+			od.Materialize()
+			nodes := 1 + len(od.Leaves)
+			for _, h := range od.Hiers {
+				nodes += len(h.Nodes)
+			}
+			if spaces[i+1] != nodes {
+				t.Logf("seed %d: overlay %d: OrdinalSpace %d before the build, %d nodes after", seed, i, spaces[i+1], nodes)
+				return false
+			}
+			gotB, gotL := partitionShape(od)
+			od.RecomputePartitionForTest()
+			wantB, wantL := partitionShape(od)
+			if fmt.Sprint(gotB) != fmt.Sprint(wantB) || fmt.Sprint(gotL) != fmt.Sprint(wantL) {
+				t.Logf("seed %d: overlay %d: lazy partition differs from full recompute", seed, i)
+				return false
+			}
+		}
+		for _, l := range d.Leaves {
+			if fmt.Sprint(top.LeafParents(l)) != fmt.Sprint(d.LeafParents(l)) {
+				t.Logf("seed %d: base leaf %d resolves to different parents through the overlay", seed, l.Ord)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestQuickOverlayPartitionIncremental checks that the incremental
 // overlay partition (partitionFrom) is field-for-field what the full
 // recompute produces: bounds, leaf layer, parent links, empties and
@@ -493,41 +604,15 @@ func TestQuickOverlayPartitionIncremental(t *testing.T) {
 			return true
 		}
 		r := rand.New(rand.NewSource(seed ^ 0x1ea5))
-		s := r.Intn(len(d.Text) - 1)
-		e := s + 1 + r.Intn(len(d.Text)-s-1)
-		top := dom.NewElement("res")
-		top.Start, top.End = s, e
-		mid := s + (e-s)/2
-		t1 := dom.NewText(d.Text[s:mid])
-		t1.Start, t1.End = s, mid
-		t2 := dom.NewText(d.Text[mid:e])
-		t2.Start, t2.End = mid, e
-		top.AppendChild(t1)
-		top.AppendChild(t2)
-		od, err := d.AddHierarchy("rest", top, true)
+		od, err := d.AddHierarchy("rest", randomOverlayTop(r, d.Text), true)
 		if err != nil {
 			t.Logf("seed %d: overlay: %v", seed, err)
 			return false
 		}
-		type leafShape struct {
-			start, end int
-			data       string
-			parents    string
-		}
-		shape := func(doc *core.Document) (bounds []int, leaves []leafShape) {
-			bounds = append(bounds, doc.Bounds...)
-			for _, l := range doc.Leaves {
-				var p strings.Builder
-				for _, q := range doc.LeafParents(l) {
-					fmt.Fprintf(&p, "%s:%d;", q.Hier, q.Ord)
-				}
-				leaves = append(leaves, leafShape{l.Start, l.End, l.Data, p.String()})
-			}
-			return
-		}
-		gotB, gotL := shape(od)
+		od.Materialize() // od.Bounds and od.Leaves are read directly below
+		gotB, gotL := partitionShape(od)
 		od.RecomputePartitionForTest()
-		wantB, wantL := shape(od)
+		wantB, wantL := partitionShape(od)
 		if fmt.Sprint(gotB) != fmt.Sprint(wantB) || fmt.Sprint(gotL) != fmt.Sprint(wantL) {
 			t.Logf("seed %d: incremental partition differs from full recompute", seed)
 			return false

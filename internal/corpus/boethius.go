@@ -5,7 +5,7 @@
 // The Figure 1 encodings in the paper are typeset loosely (inconsistent
 // whitespace between the four encodings); the fixture below uses the
 // canonical base text S with single spaces, so that all four encodings
-// are exactly aligned — see DESIGN.md §4/§5.
+// are exactly aligned.
 package corpus
 
 import (

@@ -115,7 +115,7 @@ type callExpr struct {
 
 // nodeTest is a name, wildcard or kind test, optionally restricted to a
 // comma-separated list of hierarchies (Definition 2 plus the
-// hierarchy-qualified name test extension, DESIGN.md §3).
+// hierarchy-qualified name test extension, e.g. res('restoration')).
 type testKind uint8
 
 const (

@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"slices"
 	"testing"
 
 	"mhxquery/internal/corpus"
@@ -99,4 +100,50 @@ func TestExplainAnalyzeInclusiveTimes(t *testing.T) {
 		}
 	}
 	walk(tree)
+}
+
+// TestExplainAnalyzeDetailStable evaluates one parallel-eligible query
+// 50 times under EXPLAIN ANALYZE. How many pool workers join its morsel
+// loop depends on timing, but Detail is the plan's static identity: every
+// run must render the same Detail for every operator, equal to the plain
+// plan's.
+func TestExplainAnalyzeDetailStable(t *testing.T) {
+	forceParallel(t, 4)
+	d := parallelSweepDoc(t, 37, 120)
+	q := MustCompile(`//w[string-length(string(.)) > 0]`)
+	var details func(e *ExplainOp, out []string) []string
+	details = func(e *ExplainOp, out []string) []string {
+		out = append(out, e.Op+" "+e.Detail)
+		for _, k := range e.Children {
+			out = details(k, out)
+		}
+		return out
+	}
+	var morsels func(e *ExplainOp) int64
+	morsels = func(e *ExplainOp) int64 {
+		n := e.Morsels
+		for _, k := range e.Children {
+			n += morsels(k)
+		}
+		return n
+	}
+	_, plain, err := q.Explain(d, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := details(plain, nil)
+	engaged := false
+	for i := 0; i < 50; i++ {
+		_, tree, err := q.ExplainAnalyze(d, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := details(tree, nil); !slices.Equal(got, want) {
+			t.Fatalf("run %d: Detail changed:\n got %q\nwant %q", i, got, want)
+		}
+		engaged = engaged || morsels(tree) > 0
+	}
+	if !engaged {
+		t.Fatal("the parallel scan never engaged; the test checks nothing")
+	}
 }

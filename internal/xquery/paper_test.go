@@ -9,7 +9,7 @@ import (
 
 // This file contains the golden reproductions of Section 4 of the paper:
 // every query the paper prints, with the outputs it prints (typo-corrected
-// as documented in DESIGN.md §4 and EXPERIMENTS.md).
+// where the print is inconsistent; each correction is noted at its query).
 
 func evalStr(t *testing.T, src string) string {
 	t.Helper()
@@ -112,7 +112,7 @@ func TestPaperQueryII1(t *testing.T) {
 // output for III.1 byte-exactly. The hierarchy-qualified name test
 // res('restoration') disambiguates the editorial <res> markup from the
 // <res> wrapper that analyze-string itself creates (the paper overloads
-// the name; see DESIGN.md §3).
+// the name).
 const QueryIII1MatchLevel = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
 return (
   let $res := analyze-string($w, ".*unawe.*")

@@ -264,9 +264,11 @@ func TestParallelEarlyExitStaysLazy(t *testing.T) {
 	if scan2.Morsels == 0 {
 		t.Fatal("full drain dispatched no morsels despite forced engagement")
 	}
-	if scan2.Workers < 1 || !strings.Contains(scan2.Detail, "workers=") ||
-		!strings.Contains(scan2.Detail, "morsels=") {
-		t.Fatalf("engaged scan missing worker stats: %+v", scan2)
+	// The worker stats live in the structured fields; Detail stays the
+	// operator's static identity.
+	if scan2.Workers < 1 || strings.Contains(scan2.Detail, "workers=") ||
+		strings.Contains(scan2.Detail, "morsels=") {
+		t.Fatalf("engaged scan: want worker stats in Workers/Morsels, not Detail: %+v", scan2)
 	}
 }
 

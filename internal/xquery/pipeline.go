@@ -225,7 +225,7 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 				// would dominate short queries.
 				st.axisBuf = make([]*dom.Node, 0, min(d.OrdinalSpace(), 512))
 			}
-			st.axisBuf = d.AppendAxis(st.axisBuf[:0], s.axis, n)
+			st.axisBuf = appendCandidates(st.axisBuf[:0], d, s, n)
 			nodes = st.axisBuf
 		}
 		if out == nil && len(nodes) > 0 {
@@ -264,6 +264,20 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 		return st.mergeDocOrder(out), nil
 	}
 	return out, nil
+}
+
+// appendCandidates appends the axis candidates of step s from context
+// node n to dst, for when d.SharedAxis has no view. A node test that
+// cannot match a leaf takes an extended axis's candidates without the
+// leaf layer, so stepping from analyze-string results never builds an
+// overlay's leaves (core.Document.AppendAxisNoLeaves). No match is
+// lost: such a test rejects every leaf before its hierarchy check, so
+// neither results nor errors change.
+func appendCandidates(dst []*dom.Node, d *core.Document, s *step, n *dom.Node) []*dom.Node {
+	if s.test.kind == testNode || s.test.kind == testLeaf {
+		return d.AppendAxis(dst, s.axis, n)
+	}
+	return d.AppendAxisNoLeaves(dst, s.axis, n)
 }
 
 // filterStep appends the candidates passing the step's node test and

@@ -1242,8 +1242,9 @@ type ExplainOp struct {
 	OutRows int64  `json:"out_rows,omitempty"`
 	// EstRows is the planner's synopsis-based output-cardinality
 	// estimate (nil: the planner had no estimate for this operator); the
-	// detail line gains an "est=N" suffix. Compare against OutRows from
-	// an instrumented run to judge estimate accuracy.
+	// detail line gains an "est=N" suffix, which is fixed at plan time.
+	// Compare against OutRows from an instrumented run to judge estimate
+	// accuracy.
 	EstRows *int64 `json:"est_rows,omitempty"`
 	// Nanos is the operator's observed wall time under EXPLAIN ANALYZE
 	// (zero under plain EXPLAIN). Times are inclusive: an operator's
@@ -1254,8 +1255,11 @@ type ExplainOp struct {
 	// morsel-driven execution. When an instrumented evaluation actually
 	// engaged it, Morsels counts the morsels dispatched, WorkerRows the
 	// candidate rows examined per worker slot (slot 0 is the evaluating
-	// goroutine) and Workers the slots that did any work; the detail line
-	// gains a "workers=N morsels=M" suffix.
+	// goroutine) and Workers the slots that did any work; text renderers
+	// print them as a "workers=N morsels=M" suffix. How many pool workers
+	// join a morsel loop depends on timing, so these fields, not Detail,
+	// carry them: Detail is the operator's static identity and is equal
+	// across runs of one plan.
 	Parallel   bool         `json:"parallel,omitempty"`
 	Workers    int          `json:"workers,omitempty"`
 	Morsels    int64        `json:"morsels,omitempty"`
@@ -1300,8 +1304,6 @@ func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
 				}
 			}
 			out.WorkerRows = append([]int64(nil), cd.workerRows...)
-			out.Detail += " workers=" + strconv.Itoa(out.Workers) +
-				" morsels=" + strconv.FormatInt(cd.morsels, 10)
 		}
 	}
 	for _, k := range n.kids {

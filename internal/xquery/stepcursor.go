@@ -317,7 +317,7 @@ func (sc *stepCursor) axisSegment(n *dom.Node, d *core.Document) (Seq, error) {
 	}
 	nodes, shared := d.SharedAxis(s.axis, n)
 	if !shared {
-		sc.axisBuf = d.AppendAxis(sc.axisBuf[:0], s.axis, n)
+		sc.axisBuf = appendCandidates(sc.axisBuf[:0], d, s, n)
 		nodes = sc.axisBuf
 	}
 	out, err := filterStep(sc.c, sc.segBuf[:0], nodes, s, &sc.rt)

@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"time"
 
 	"mhxquery/internal/cmh"
 	"mhxquery/internal/core"
@@ -381,13 +383,46 @@ type PlanOp struct {
 	// execution; when an analyzed evaluation engaged it, Morsels counts
 	// the dispatched morsels, WorkerRows the candidate rows examined per
 	// worker slot (slot 0 is the evaluating goroutine) and Workers the
-	// slots that did any work. The Detail line then carries a
-	// "workers=N morsels=M" suffix.
+	// slots that did any work. String then prints a "workers=N
+	// morsels=M" suffix. Detail never carries these numbers: it is the
+	// operator's static identity, equal across runs of one plan.
 	Parallel   bool      `json:"parallel,omitempty"`
 	Workers    int       `json:"workers,omitempty"`
 	Morsels    int64     `json:"morsels,omitempty"`
 	WorkerRows []int64   `json:"worker_rows,omitempty"`
 	Children   []*PlanOp `json:"children,omitempty"`
+}
+
+// String renders the operator tree as indented text, one operator per
+// line: the operator, its Detail (with the planner's "est=N"), "[index]"
+// when it reads the name index, the observed cardinalities and wall
+// time, and "workers=N morsels=M" when morsel parallelism engaged.
+func (op *PlanOp) String() string {
+	var b strings.Builder
+	op.writeText(&b, 0)
+	return b.String()
+}
+
+func (op *PlanOp) writeText(b *strings.Builder, depth int) {
+	b.WriteString(strings.Repeat("  ", depth))
+	b.WriteString(op.Op)
+	if op.Detail != "" {
+		b.WriteString(" " + op.Detail)
+	}
+	if op.Index {
+		b.WriteString(" [index]")
+	}
+	fmt.Fprintf(b, "  calls=%d in=%d out=%d", op.Calls, op.InRows, op.OutRows)
+	if op.Nanos > 0 {
+		fmt.Fprintf(b, " time=%v", time.Duration(op.Nanos))
+	}
+	if op.Morsels > 0 {
+		fmt.Fprintf(b, " workers=%d morsels=%d", op.Workers, op.Morsels)
+	}
+	b.WriteByte('\n')
+	for _, k := range op.Children {
+		k.writeText(b, depth+1)
+	}
 }
 
 func planOpFrom(e *xquery.ExplainOp) *PlanOp {

@@ -285,6 +285,13 @@ func TestExplainPublicAPI(t *testing.T) {
 	if scan == nil || !scan.Index || scan.OutRows != 2 || scan.Calls != 1 {
 		t.Fatalf("index-scan op = %+v", scan)
 	}
+	// The text rendering prints the worker stats from the structured
+	// fields.
+	scan.Workers, scan.Morsels = 2, 8
+	if line := scan.String(); !strings.HasPrefix(line, "index-scan "+scan.Detail+" [index] ") ||
+		!strings.HasSuffix(line, " workers=2 morsels=8\n") {
+		t.Errorf("PlanOp.String = %q", line)
+	}
 
 	// The collection-level Explain reaches the same machinery.
 	c := mhxquery.NewCollection(mhxquery.CollectionOptions{})

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # bench.sh — run the evaluator benchmark suite and record the results.
 #
-# Runs the evaluator-level benchmarks (the paper queries E3–E7, the
+# Runs the evaluator-level benchmarks (the paper queries E3–E7 and
+# Queries II.1/III.1 at 1/10/100× (BenchmarkPaperQueryScaling), the
 # P9 path-pipeline fixtures, the P10 indexed-descendant fixtures, the
 # P11 early-exit/FLWOR cursor fixtures, the P12 copy-on-write
 # update fixtures, the P13 durable-update fixtures, WAL vs
@@ -18,7 +19,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkPaperQueryScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
