@@ -12,10 +12,15 @@ import "mhxquery/internal/dom"
 // The zero value is an empty cursor. RunCursor is not safe for
 // concurrent use; each evaluation owns its own.
 type RunCursor struct {
-	hiers []*Hierarchy
-	runs  [][]int32
+	runs  []hierRun
 	total int
 	hi, i int
+}
+
+// hierRun is one hierarchy's ordinal run.
+type hierRun struct {
+	h   *Hierarchy
+	run []int32
 }
 
 // Add appends one hierarchy's ordinal run.
@@ -23,9 +28,13 @@ func (rc *RunCursor) Add(h *Hierarchy, run []int32) {
 	if len(run) == 0 {
 		return
 	}
-	rc.hiers = append(rc.hiers, h)
-	rc.runs = append(rc.runs, run)
+	rc.runs = append(rc.runs, hierRun{h, run})
 	rc.total += len(run)
+}
+
+// Reset empties the cursor for reuse, keeping its run storage.
+func (rc *RunCursor) Reset() {
+	*rc = RunCursor{runs: rc.runs[:0]}
 }
 
 // Len returns the total number of candidates across all runs,
@@ -37,11 +46,11 @@ func (rc *RunCursor) Len() int { return rc.total }
 // caller bounds k by Len). This is the O(1) positional shortcut behind
 // run-level [k] and [last()] predicates.
 func (rc *RunCursor) At(k int) *dom.Node {
-	for i, run := range rc.runs {
-		if k < len(run) {
-			return rc.hiers[i].Nodes[run[k]]
+	for _, r := range rc.runs {
+		if k < len(r.run) {
+			return r.h.Nodes[r.run[k]]
 		}
-		k -= len(run)
+		k -= len(r.run)
 	}
 	panic("core: RunCursor.At out of range")
 }
@@ -58,19 +67,19 @@ func (rc *RunCursor) Split(size int) []RunCursor {
 		if rc.total == 0 {
 			return nil
 		}
-		return []RunCursor{{hiers: rc.hiers, runs: rc.runs, total: rc.total}}
+		return []RunCursor{{runs: rc.runs, total: rc.total}}
 	}
 	morsels := make([]RunCursor, 0, (rc.total+size-1)/size)
 	cur := RunCursor{}
 	room := size
-	for ri, run := range rc.runs {
+	for _, r := range rc.runs {
+		run := r.run
 		for len(run) > 0 {
 			take := len(run)
 			if take > room {
 				take = room
 			}
-			cur.hiers = append(cur.hiers, rc.hiers[ri])
-			cur.runs = append(cur.runs, run[:take])
+			cur.runs = append(cur.runs, hierRun{r.h, run[:take]})
 			cur.total += take
 			run = run[take:]
 			room -= take
@@ -91,9 +100,9 @@ func (rc *RunCursor) Split(size int) []RunCursor {
 // the runs are exhausted.
 func (rc *RunCursor) Next() (*dom.Node, bool) {
 	for rc.hi < len(rc.runs) {
-		run := rc.runs[rc.hi]
-		if rc.i < len(run) {
-			n := rc.hiers[rc.hi].Nodes[run[rc.i]]
+		r := rc.runs[rc.hi]
+		if rc.i < len(r.run) {
+			n := r.h.Nodes[r.run[rc.i]]
 			rc.i++
 			return n, true
 		}
@@ -101,4 +110,18 @@ func (rc *RunCursor) Next() (*dom.Node, bool) {
 		rc.i = 0
 	}
 	return nil, false
+}
+
+// NextRun returns the unconsumed rest of the current run together with
+// its hierarchy and advances past it, or ok=false when the runs are
+// exhausted: the bulk form of Next.
+func (rc *RunCursor) NextRun() (h *Hierarchy, run []int32, ok bool) {
+	for rc.hi < len(rc.runs) {
+		r := rc.runs[rc.hi]
+		run, rc.hi, rc.i = r.run[rc.i:], rc.hi+1, 0
+		if len(run) > 0 {
+			return r.h, run, true
+		}
+	}
+	return nil, nil, false
 }

@@ -158,3 +158,47 @@ func TestRunCursorEmpty(t *testing.T) {
 		t.Fatal("empty run counted")
 	}
 }
+
+// TestRunCursorNextRunReset checks the bulk form: after a partial
+// Next, NextRun yields exactly the remaining candidates in order, and a
+// Reset cursor refilled with the same runs starts over.
+func TestRunCursorNextRunReset(t *testing.T) {
+	d := nameIndexDoc(t)
+	sym := d.NameSymOf("w")
+	var rc RunCursor
+	var want []*dom.Node
+	for round := 0; round < 2; round++ {
+		rc.Reset()
+		want = want[:0]
+		for _, h := range d.Hiers {
+			rc.Add(h, h.NameRun(sym))
+			for _, ord := range h.NameRun(sym) {
+				want = append(want, h.Nodes[ord])
+			}
+		}
+		if len(want) < 2 {
+			t.Fatalf("fixture has %d w elements, want at least 2", len(want))
+		}
+		first, ok := rc.Next()
+		if !ok || first != want[0] {
+			t.Fatalf("round %d: Next = %v, want %v", round, first, want[0])
+		}
+		got := []*dom.Node{first}
+		for h, run, ok := rc.NextRun(); ok; h, run, ok = rc.NextRun() {
+			for _, ord := range run {
+				got = append(got, h.Nodes[ord])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: got %d nodes, want %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: node %d differs", round, i)
+			}
+		}
+		if _, ok := rc.Next(); ok {
+			t.Fatalf("round %d: cursor not exhausted after NextRun", round)
+		}
+	}
+}

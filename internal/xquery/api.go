@@ -21,6 +21,9 @@ type Query struct {
 	// strictOnly marks queries containing analyze-string, which must
 	// evaluate in interpreter order (lower.go).
 	strictOnly bool
+	// free lists the variables the query references outside any binding
+	// of them; every evaluation must supply them (else XPST0008).
+	free []string
 
 	plans planCache
 }
@@ -43,7 +46,13 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{src: src, body: body, strictOnly: hasAnalyzeString(body)}, nil
+	return newQuery(src, body), nil
+}
+
+// newQuery wraps a parsed expression as a compiled query, deriving its
+// static properties once.
+func newQuery(src string, body expr) *Query {
+	return &Query{src: src, body: body, strictOnly: hasAnalyzeString(body), free: freeVars(body, nil, nil)}
 }
 
 // MustCompile is Compile panicking on error; for fixtures and tests.
@@ -116,14 +125,25 @@ func (pl *Plan) EvalContext(ctx stdctx.Context, d *core.Document, vars map[strin
 // exists/empty/count, quantifiers). Stream is the item-at-a-time entry
 // point.
 func (pl *Plan) eval(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) (Seq, error) {
-	c := pl.newEvalContext(ctx, d, vars, r, counts)
+	c, err := pl.newEvalContext(ctx, d, vars, r, counts)
+	if err != nil {
+		return nil, err
+	}
 	if debugNaiveSteps {
 		return pl.q.body.eval(c)
 	}
 	return pEval(pl.prog, c)
 }
 
-func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *context {
+// newEvalContext starts an evaluation. A free variable missing from
+// vars is a static error (XPST0008), raised here for every entry point
+// before anything evaluates.
+func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) (*context, error) {
+	for _, name := range pl.q.free {
+		if _, ok := vars[name]; !ok {
+			return nil, errf("XPST0008", "undefined variable $%s", name)
+		}
+	}
 	st := &evalState{doc: d, resolver: r, ctx: ctx}
 	if !debugNaiveSteps {
 		st.plan = pl
@@ -142,7 +162,7 @@ func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[st
 	for name, val := range vars {
 		c = c.bind(name, val)
 	}
-	return c
+	return c, nil
 }
 
 // Stream is a lazy, pull-based result iterator over one evaluation.
@@ -169,7 +189,10 @@ func (q *Query) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq
 }
 
 func (pl *Plan) stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *Stream {
-	c := pl.newEvalContext(ctx, d, vars, r, counts)
+	c, err := pl.newEvalContext(ctx, d, vars, r, counts)
+	if err != nil {
+		return &Stream{err: err}
+	}
 	var cur cursor
 	if debugNaiveSteps {
 		body := pl.q.body
@@ -252,11 +275,13 @@ func (q *Query) Explain(d *core.Document, vars map[string]Seq, r Resolver) (Seq,
 // time. Timing rides on the same explain slots as cardinality
 // accounting, so the uninstrumented hot path stays untouched.
 func (pl *Plan) evalAnalyze(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) (Seq, time.Duration, error) {
-	c := pl.newEvalContext(ctx, d, vars, r, counts)
+	c, err := pl.newEvalContext(ctx, d, vars, r, counts)
+	if err != nil {
+		return nil, 0, err
+	}
 	c.st.timed = true
 	start := time.Now()
 	var seq Seq
-	var err error
 	if debugNaiveSteps {
 		seq, err = pl.q.body.eval(c)
 	} else {

@@ -140,24 +140,6 @@ func counted(st *evalState, id int, cur cursor) cursor {
 	return &countingCursor{inner: cur, st: st, id: id}
 }
 
-// opTimerCursor adds wall time to a path operator's explain slot under
-// EXPLAIN ANALYZE. The step cursors (stepcursor.go) already record
-// calls/in/out at their natural accounting points; timing lives in this
-// separate wrapper so the hot cursor loops never touch the clock when
-// instrumentation is off. Times are inclusive of upstream operators.
-type opTimerCursor struct {
-	inner cursor
-	st    *evalState
-	id    int
-}
-
-func (tc *opTimerCursor) next() (Item, bool, error) {
-	start := time.Now()
-	it, ok, err := tc.inner.next()
-	tc.st.explain[tc.id].nanos += int64(time.Since(start))
-	return it, ok, err
-}
-
 // concatCursor streams the concatenation of lazily opened sub-cursors.
 type concatCursor struct {
 	open func(i int) (cursor, bool) // i-th sub-cursor, ok=false when done

@@ -481,13 +481,10 @@ func (p *pathExpr) eval(c *context) (Seq, error) {
 	}
 	for si, s := range p.steps {
 		var err error
-		switch {
-		case s.prim != nil:
+		if s.prim != nil {
 			cur, err = evalPrimStep(c, cur, s, si == len(p.steps)-1)
-		case debugNaiveSteps:
+		} else {
 			cur, err = evalStepRef(c, cur, s)
-		default:
-			cur, err = evalStep(c, cur, s)
 		}
 		if err != nil {
 			return nil, err

@@ -2,10 +2,13 @@ package xquery
 
 import (
 	stdctx "context"
+	"math/rand"
 	"testing"
 	"time"
 
+	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
+	"mhxquery/internal/dom"
 )
 
 // fuzzDoc is the document plans are lowered against during fuzzing.
@@ -72,4 +75,100 @@ func FuzzUpdate(f *testing.F) {
 			t.Fatalf("Apply(%q) mutated the source document", src)
 		}
 	})
+}
+
+// FuzzPathRoutes checks the evaluation routes against each other on the
+// 20-word sweep manuscript: Eval and a full Stream drain must agree on
+// the items and the error code, and the cursor engine must agree with
+// the interpreter oracle (debugNaiveSteps). The engine may succeed where
+// the oracle raises a dynamic error — XQuery's errors-and-optimization
+// rule lets it skip operands it does not need, as in (dmg('x')/())[0] —
+// but when the engine fails the oracle must fail with the same code.
+// Each route runs under a 200 ms deadline; an input that hits it on any
+// route (MHXQ0002) is skipped. CI runs this as a non-gating smoke:
+// go test -fuzz=FuzzPathRoutes -fuzztime=30s.
+func FuzzPathRoutes(f *testing.F) {
+	g := &qgen{r: rand.New(rand.NewSource(20261017))}
+	for i := 0; i < 64; i++ {
+		f.Add(g.query())
+	}
+	for _, src := range parityQueries {
+		f.Add(src)
+	}
+	f.Add(`for $w in /descendant::w[matches(string(.), ".*e.*")]
+return (for $n in analyze-string($w, ".*e.*")/child::node()
+        return if ($n[self::m]) then <b>{string($n)}</b> else string($n), <br/>)`)
+	f.Add(`(dmg('x')/())[0]`)
+	f.Add(`/child::vline/child::w/descendant::leaf()`)
+	f.Add(`(/child::vline/child::w)[last()]`)
+	d := sweepDocs(f)["gen"]
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Compile(src)
+		if err != nil {
+			return
+		}
+		run := func(stream, oracle bool) (Seq, error) {
+			ctx, cancel := stdctx.WithTimeout(stdctx.Background(), 200*time.Millisecond)
+			defer cancel()
+			debugNaiveSteps = oracle
+			defer func() { debugNaiveSteps = false }()
+			if stream {
+				return drainStream(q.Stream(ctx, d, nil, nil))
+			}
+			return q.EvalContext(ctx, d, nil, nil)
+		}
+		got, gotErr := run(false, false)
+		streamed, streamErr := run(true, false)
+		ref, refErr := run(false, true)
+		codes := [3]string{errCode(gotErr), errCode(streamErr), errCode(refErr)}
+		for _, code := range codes {
+			if code == "MHXQ0002" {
+				t.Skip("deadline exceeded")
+			}
+		}
+		if codes[0] != codes[1] {
+			t.Fatalf("%q: eval err=%v, stream err=%v", src, gotErr, streamErr)
+		}
+		if gotErr == nil && !sameResult(d, got, streamed) {
+			t.Fatalf("%q:\n  eval:   %s\n  stream: %s", src, Serialize(got), Serialize(streamed))
+		}
+		switch {
+		case gotErr != nil:
+			if codes[2] != codes[0] {
+				t.Fatalf("%q: engine err=%v, oracle err=%v", src, gotErr, refErr)
+			}
+		case refErr == nil && !sameResult(d, got, ref):
+			t.Fatalf("%q:\n  engine: %s\n  oracle: %s", src, Serialize(got), Serialize(ref))
+		}
+	})
+}
+
+// errCode is the XQuery error code of err ("" for nil, "?" for an
+// error without one).
+func errCode(err error) string {
+	if err == nil {
+		return ""
+	}
+	if xe, ok := err.(*Error); ok {
+		return xe.Code
+	}
+	return "?"
+}
+
+// sameResult compares two evaluations' results: equal serializations
+// (so NaN matches NaN) and the same node identity wherever both hold a
+// node of d. Constructed and overlay nodes are fresh per evaluation and
+// compare by serialization alone.
+func sameResult(d *core.Document, a, b Seq) bool {
+	if len(a) != len(b) || Serialize(a) != Serialize(b) {
+		return false
+	}
+	for i := range a {
+		na, aok := a[i].(*dom.Node)
+		nb, bok := b[i].(*dom.Node)
+		if aok != bok || aok && (d.Owns(na) || d.Owns(nb)) && na != nb {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -117,9 +118,10 @@ func scalarOpen(n pnode, c *context) cursor { return &lazyCursor{n: n, c: c} }
 
 // streamWorthy reports whether opening n as a cursor can actually
 // short-circuit work: its producing end is an operator that emits
-// lazily (index/chain scans, downward axis steps, FLWOR pipelines,
-// filters, ranges). For anything else the strict eval is both exact
-// and cheaper than building a cursor chain.
+// lazily (FLWOR pipelines, filters, ranges, sequences, or a path whose
+// last operator — the only one a path streams — is an index or chain
+// scan or a downward axis step). For anything else the strict eval is
+// both exact and cheaper than opening a cursor.
 func streamWorthy(n pnode) bool {
 	switch x := n.(type) {
 	case *pFLWOR, *pFilter, *pRange, *pSeq:
@@ -923,8 +925,9 @@ func (pc *constPosCursor) next() (Item, bool, error) {
 // positions. size is the known candidate count (index segments, where
 // run lengths fix it upfront) or 0 for position-only predicates whose
 // base cardinality is never consulted (pFilter rejects last() here).
-// The scratch context is embedded so per-item evaluation allocates
-// nothing.
+// A positive limit stops the cursor once that many items have been
+// examined (parPredCursor's serial phase). The scratch context is
+// embedded so per-item evaluation allocates nothing.
 type predCursor struct {
 	inner  cursor
 	pr     expr
@@ -933,6 +936,7 @@ type predCursor struct {
 	inited bool
 	pos    int
 	size   int
+	limit  int
 }
 
 func (pc *predCursor) next() (Item, bool, error) {
@@ -941,7 +945,7 @@ func (pc *predCursor) next() (Item, bool, error) {
 		pc.c2.size = pc.size
 		pc.inited = true
 	}
-	for {
+	for pc.limit <= 0 || pc.pos < pc.limit {
 		if err := pc.c.st.checkCancel(); err != nil {
 			return nil, false, err
 		}
@@ -951,24 +955,15 @@ func (pc *predCursor) next() (Item, bool, error) {
 		}
 		pc.pos++
 		pc.c2.item, pc.c2.pos = it, pc.pos
-		v, err := evalMaybeLowered(&pc.c2, pc.pr)
+		keep, err := predKeeps(&pc.c2, pc.pr)
 		if err != nil {
-			return nil, false, err
-		}
-		keep := false
-		if len(v) == 1 {
-			if f, ok := v[0].(float64); ok {
-				keep = float64(pc.pos) == f
-			} else if keep, err = ebv(v); err != nil {
-				return nil, false, err
-			}
-		} else if keep, err = ebv(v); err != nil {
 			return nil, false, err
 		}
 		if keep {
 			return it, true, nil
 		}
 	}
+	return nil, false, nil
 }
 
 // ---- constructors ----------------------------------------------------------
@@ -1044,6 +1039,39 @@ func hasAnalyzeString(e expr) bool {
 		}
 	})
 	return found
+}
+
+// freeVars appends to out, once each, the variables e references
+// outside any binding of them; bound holds the names in scope.
+func freeVars(e expr, bound, out []string) []string {
+	switch x := e.(type) {
+	case *varExpr:
+		if !slices.Contains(bound, x.name) && !slices.Contains(out, x.name) {
+			out = append(out, x.name)
+		}
+		return out
+	case *flworExpr:
+		for _, cl := range x.clauses {
+			out = freeVars(cl.src, bound, out)
+			for _, name := range []string{cl.name, cl.posName} {
+				if name != "" {
+					bound = append(bound, name)
+				}
+			}
+		}
+		for _, o := range x.order {
+			out = freeVars(o.key, bound, out)
+		}
+		return freeVars(x.ret, bound, out)
+	case *quantExpr:
+		for i, src := range x.srcs {
+			out = freeVars(src, bound, out)
+			bound = append(bound, x.names[i])
+		}
+		return freeVars(x.sat, bound, out)
+	}
+	visitChildren(e, func(ch expr) { out = freeVars(ch, bound, out) })
+	return out
 }
 
 // describeLiteral renders a literal for EXPLAIN output.

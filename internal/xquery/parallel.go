@@ -187,10 +187,10 @@ func (sc *slotContexts) merge(opID int, morsels int64, slotRows []int64) {
 // ---- parallel predicate filtering ------------------------------------------
 
 // predRange filters items[lo:hi) by one predicate, compacting
-// survivors to items[lo:lo+kept) — the same keep rules as predCursor
-// and applyPredicatesInPlace, with the item's focus position supplied
-// as pos0+index+1 (pos0 = position offset of items[0] in the
-// segment). Returns the survivor count and the first error.
+// survivors to items[lo:lo+kept) — the keep rule of predKeeps, with the
+// item's focus position supplied as pos0+index+1 (pos0 = position
+// offset of items[0] in the segment). Returns the survivor count and
+// the first error.
 func predRange(c *context, items Seq, lo, hi int, pr expr, pos0, size int) (int, error) {
 	c2 := *c
 	c2.size = size
@@ -201,18 +201,8 @@ func predRange(c *context, items Seq, lo, hi int, pr expr, pos0, size int) (int,
 		}
 		it := items[k]
 		c2.item, c2.pos = it, pos0+k+1
-		v, err := evalMaybeLowered(&c2, pr)
+		keep, err := predKeeps(&c2, pr)
 		if err != nil {
-			return w - lo, err
-		}
-		keep := false
-		if len(v) == 1 {
-			if f, ok := v[0].(float64); ok {
-				keep = float64(pos0+k+1) == f
-			} else if keep, err = ebv(v); err != nil {
-				return w - lo, err
-			}
-		} else if keep, err = ebv(v); err != nil {
 			return w - lo, err
 		}
 		if keep {
@@ -356,78 +346,33 @@ func parFilterChain(c *context, items []*dom.Node, d *core.Document, syms []int3
 // parPredCursor streams an index segment filtered by one
 // position-independent predicate with adaptive parallel engagement:
 // the first morsel's candidates serve lazily through the serial
-// predicate route, so early-exit consumers ((//w[p])[1], exists())
-// do exactly the serial route's work; a consumer that drains past
-// them triggers one parallel filter pass over every remaining
+// predCursor (its limit), so early-exit consumers ((//w[p])[1],
+// exists()) do exactly the serial route's work; a consumer that drains
+// past them triggers one parallel filter pass over every remaining
 // candidate, whose buffered survivors then stream out in document
 // order. Deterministic errors surface identically to the serial
 // cursor (phase-A errors during phase A; later errors are the
 // earliest remaining candidate's, per parFilterPreds).
 type parPredCursor struct {
-	c     *context
-	op    *pathOp
-	rs    *runSegCursor
-	pr    expr
-	total int
-
-	c2       context
-	inited   bool
-	examined int
-	phaseA   int
-	tail     cursor
+	predCursor
+	op   *pathOp
+	rs   *runSegCursor
+	tail cursor
 }
 
 func (pc *parPredCursor) next() (Item, bool, error) {
-	for pc.tail == nil {
-		if !pc.inited {
-			pc.c2 = *pc.c
-			pc.c2.size = pc.total
-			pc.inited = true
+	if pc.tail == nil {
+		if it, ok, err := pc.predCursor.next(); ok || err != nil || pc.pos < pc.limit {
+			return it, ok, err
 		}
-		if pc.examined >= pc.phaseA {
-			// Crossed the first morsel with the consumer still pulling:
-			// filter everything that remains in parallel.
-			rest := make(Seq, 0, pc.total-pc.examined)
-			for {
-				it, ok, _ := pc.rs.next() // runSegCursor never errors
-				if !ok {
-					break
-				}
-				rest = append(rest, it)
-			}
-			out, err := parFilterPreds(pc.c, rest, []expr{pc.pr}, pc.examined, pc.total, pc.op.id)
-			if err != nil {
-				return nil, false, err
-			}
-			pc.tail = seqCur(out)
-			break
-		}
-		if err := pc.c.st.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		it, ok, err := pc.rs.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pc.examined++
-		pc.c2.item, pc.c2.pos = it, pc.examined
-		v, err := evalMaybeLowered(&pc.c2, pc.pr)
+		// Crossed the first morsel with the consumer still pulling:
+		// filter everything that remains in parallel.
+		rest := pc.rs.appendTo(make(Seq, 0, pc.size-pc.pos))
+		out, err := parFilterPreds(pc.c, rest, []expr{pc.pr}, pc.pos, pc.size, pc.op.id)
 		if err != nil {
 			return nil, false, err
 		}
-		keep := false
-		if len(v) == 1 {
-			if f, ok := v[0].(float64); ok {
-				keep = float64(pc.examined) == f
-			} else if keep, err = ebv(v); err != nil {
-				return nil, false, err
-			}
-		} else if keep, err = ebv(v); err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return it, true, nil
-		}
+		pc.tail = seqCur(out)
 	}
 	return pc.tail.next()
 }

@@ -210,47 +210,15 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 		if !ok {
 			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", s.axis)
 		}
-		d := st.docFor(n)
-		if rt.doc != d {
-			rt.init(d, s)
-		}
-		// Axis candidates: a shared view of the document's internal
-		// arrays when one exists, else the reusable evalState buffer.
-		nodes, shared := d.SharedAxis(s.axis, n)
-		if !shared {
-			if cap(st.axisBuf) == 0 {
-				// Start modestly and let append grow: descendant name
-				// steps run as index scans now, so most axis fans are
-				// small and a full OrdinalSpace buffer per evaluation
-				// would dominate short queries.
-				st.axisBuf = make([]*dom.Node, 0, min(d.OrdinalSpace(), 512))
-			}
-			st.axisBuf = appendCandidates(st.axisBuf[:0], d, s, n)
-			nodes = st.axisBuf
-		}
-		if out == nil && len(nodes) > 0 {
-			out = make(Seq, 0, min(len(nodes), 32))
-		}
 		segStart := len(out)
+		var ordered bool
 		var err error
-		if out, err = filterStep(c, out, nodes, s, &rt); err != nil {
+		if out, ordered, err = axisSegment(c, out, &st.axisBuf, n, st.docFor(n), s, &rt); err != nil {
 			return nil, err
 		}
-		if degenerate {
-			continue
-		}
-		// Normalize the segment to ascending document order and check
-		// the junction with the previous segment.
-		seg := out[segStart:]
-		switch segOrder(seg) {
-		case segDescending:
-			reverseSeq(seg)
-		case segUnordered:
-			degenerate = true
-			continue
-		}
-		if sorted && len(seg) > 0 && segStart > 0 &&
-			dom.Compare(out[segStart-1].(*dom.Node), seg[0].(*dom.Node)) >= 0 {
+		degenerate = degenerate || !ordered
+		if sorted && segStart > 0 && len(out) > segStart &&
+			dom.Compare(out[segStart-1].(*dom.Node), out[segStart].(*dom.Node)) >= 0 {
 			sorted = false
 		}
 	}
@@ -264,6 +232,45 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 		return st.mergeDocOrder(out), nil
 	}
 	return out, nil
+}
+
+// axisSegment appends context node n's segment of axis step s to out,
+// normalized to ascending document order: the axis candidates (a shared
+// view of the document's internal arrays when one exists, else gathered
+// into the reusable *buf), filtered by the node test and predicates. It
+// reports false for an order-degenerate segment (constructed nodes
+// without document order). It is the per-context axis-step
+// implementation of both routes.
+func axisSegment(c *context, out Seq, buf *[]*dom.Node, n *dom.Node, d *core.Document, s *step, rt *resolvedTest) (Seq, bool, error) {
+	if rt.doc != d {
+		rt.init(d, s)
+	}
+	nodes, shared := d.SharedAxis(s.axis, n)
+	if !shared {
+		if cap(*buf) == 0 {
+			// Start modestly and let append grow: descendant name steps
+			// run as index scans, so most axis fans are small and a full
+			// OrdinalSpace buffer would dominate short queries.
+			*buf = make([]*dom.Node, 0, min(d.OrdinalSpace(), 512))
+		}
+		*buf = appendCandidates((*buf)[:0], d, s, n)
+		nodes = *buf
+	}
+	if out == nil && len(nodes) > 0 {
+		out = make(Seq, 0, min(len(nodes), 32))
+	}
+	segStart := len(out)
+	out, err := filterStep(c, out, nodes, s, rt)
+	if err != nil {
+		return nil, false, err
+	}
+	switch segOrder(out[segStart:]) {
+	case segDescending:
+		reverseSeq(out[segStart:])
+	case segUnordered:
+		return out, false, nil
+	}
+	return out, true, nil
 }
 
 // appendCandidates appends the axis candidates of step s from context

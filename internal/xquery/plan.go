@@ -2,7 +2,6 @@ package xquery
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,13 +15,11 @@ import (
 // kind, not just paths — into physical operators (pnode, lower.go) for
 // one document hierarchy layout (core.Document.Signature), binding node
 // tests to interned name symbols and hierarchy indices at plan time.
-// Execution is cursor-based (stepcursor.go): results stream from
-// name-index runs and axis steps through predicates, FLWOR bindings and
-// aggregation, so early-exit consumers stop the pipeline after the
-// items they need.
+// Execution is cursor-based: results stream from name-index runs and
+// axis steps through predicates, FLWOR bindings and aggregation, so
+// early-exit consumers stop the pipeline after the items they need.
 //
-// Within a path, three physical operators exist beyond the generic
-// pipeline step:
+// A path lowers to its start expression plus a list of operators:
 //
 //   - index-scan: descendant::name and descendant-or-self::name steps
 //     (including the //name abbreviation, whose descendant-or-self::
@@ -36,7 +33,14 @@ import (
 //     each candidate's ancestor chain upward to the shared root —
 //     O(matches · chain length) instead of a level-by-level walk.
 //   - axis-step: everything else runs through the order-aware pipeline
-//     (evalStep), streamed per context segment for the downward axes.
+//     (pipeline.go).
+//   - primary: a primary-expression step ("$x/string(.)").
+//
+// A path executes on one route: the start expression and every
+// operator but the last run materialized, each over the whole result
+// of the one before it (pPath.run, runOp); only the last operator
+// streams (pPath.open, stepcursor.go). Each operator kind has one
+// per-context implementation that both routes share.
 //
 // Plans are immutable and shared: all mutable evaluation state lives in
 // evalState, and per-document bindings are revalidated by document
@@ -53,7 +57,7 @@ import (
 // estimated selectivity, and orders independent quantifier/FLWOR
 // bindings by estimated input size. Every reorder is gated so the plan
 // stays result- and error-identical to the canonical order; estimates
-// annotate the explain tree as "est=N" next to observed rows.
+// annotate the explain tree (ExplainOp.EstRows) next to observed rows.
 
 // Plan-forcing knobs for the differential test harness: forcePlan
 // overrides the chain-scan/index-scan choice ("" cost-based, "chain"
@@ -94,7 +98,7 @@ func (pl *Plan) Signature() string { return pl.sig }
 
 // Operator kinds.
 const (
-	opAxisStep  = iota // generic pipeline step (evalStep)
+	opAxisStep  = iota // generic pipeline step (evalStep, axisSegment)
 	opIndexScan        // structural name index scan
 	opChainScan        // leading child:: chain via index + ancestor check
 	opPrimStep         // primary-expression step (evalPrimStep)
@@ -142,7 +146,10 @@ func resolveIndexBinding(d *core.Document, s *step) indexBinding {
 	for _, name := range s.test.hiers {
 		h := d.HierarchyByName(name)
 		if h == nil {
+			// Candidates are then gathered from every hierarchy, to
+			// decide whether the error surfaces (indexCandidates).
 			b.hierErr = errf("MHXQ0001", "unknown hierarchy %q in node test", name)
+			b.hierIdx = nil
 			return b
 		}
 		b.hierIdx = append(b.hierIdx, h.Index)
@@ -878,7 +885,7 @@ func visitChildren(e expr, visit func(expr)) {
 	}
 }
 
-// ---- strict path execution -------------------------------------------------
+// ---- path execution --------------------------------------------------------
 
 // opCard is one operator's observed cardinalities during an
 // instrumented (Explain) evaluation. nanos accrues observed wall time
@@ -895,10 +902,10 @@ type opCard struct {
 	workerRows []int64
 }
 
-// pPath is the lowered path expression: the operator list plus the
-// lowered start expression. Strict evaluation (eval) materializes step
-// by step; streaming (open, stepcursor.go) pipelines the operators as
-// cursors.
+// pPath is the lowered path expression: the lowered start expression
+// plus the operator list. Every operator but the last runs materialized
+// (run); the last one streams under open (stepcursor.go) and
+// materializes under eval.
 type pPath struct {
 	pbase
 	absolute bool
@@ -906,7 +913,12 @@ type pPath struct {
 	ops      []*pathOp
 }
 
-func (p *pPath) eval(c *context) (Seq, error) {
+func (p *pPath) eval(c *context) (Seq, error) { return p.run(c, len(p.ops)) }
+
+// run evaluates the start expression and the first k operators, each
+// over the materialized result of the one before it, with per-operator
+// explain accounting.
+func (p *pPath) run(c *context, k int) (Seq, error) {
 	var cur Seq
 	switch {
 	case p.start != nil:
@@ -923,15 +935,14 @@ func (p *pPath) eval(c *context) (Seq, error) {
 		}
 		cur = Seq{c.item}
 	}
-	for _, op := range p.ops {
+	for _, op := range p.ops[:k] {
 		in := int64(len(cur))
 		var start time.Time
 		if c.st.timed {
 			start = time.Now()
 		}
 		var err error
-		cur, err = evalOpStrict(c, cur, op)
-		if err != nil {
+		if cur, err = runOp(c, cur, op); err != nil {
 			return nil, err
 		}
 		if ex := c.st.explain; ex != nil {
@@ -946,73 +957,81 @@ func (p *pPath) eval(c *context) (Seq, error) {
 	return cur, nil
 }
 
-// evalOpStrict evaluates one path operator over a materialized context
-// sequence (shared by strict path evaluation and the step cursors'
-// fallback route).
-func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
+// runOp evaluates one path operator over a materialized context list.
+func runOp(c *context, cur Seq, op *pathOp) (Seq, error) {
 	switch op.kind {
 	case opPrimStep:
 		return evalPrimStep(c, cur, op.s, op.primLast)
 	case opIndexScan:
 		return evalIndexScan(c, cur, op)
 	case opChainScan:
-		return evalChainScan(c, cur, op)
-	default:
-		return evalStep(c, cur, op.s)
+		if root, ok := chainRoot(c, cur); ok {
+			return drain(c, newChainCursor(c, op, root))
+		}
+		// Only the shared root reaches a leading chain of an absolute
+		// path; be safe and evaluate stepwise otherwise.
+		var err error
+		for _, s := range op.chn {
+			if cur, err = evalStep(c, cur, s); err != nil {
+				return nil, err
+			}
+		}
+		return cur, nil
 	}
+	return evalStep(c, cur, op.s)
+}
+
+// indexBind returns the operator's index binding for d: the plan-time
+// one for the planned document, else *cache, re-resolved when it is for
+// another document.
+func (op *pathOp) indexBind(cache *indexBinding, d *core.Document) *indexBinding {
+	if op.bind.doc == d {
+		return &op.bind
+	}
+	if cache.doc != d {
+		*cache = resolveIndexBinding(d, op.s)
+	}
+	return cache
 }
 
 // evalIndexScan evaluates a descendant(-or-self)::name step through the
-// structural name index: per context node, the ascending ordinal run of
-// matching elements (restricted to the context subtree), then the same
-// positional shortcut, predicate filtering and segment merging as the
-// generic pipeline. Atomic items and constructed (unindexed) context
-// nodes delegate the whole step to the pipeline, which reproduces the
-// reference semantics for them.
+// structural name index, one indexSegment per context node, merging the
+// segments into document order when they interleave. Atomic items and
+// constructed (unindexed) context nodes delegate the whole step to the
+// axis pipeline, which reproduces the reference semantics for them.
 func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 	st := c.st
-	s := op.s
 	for _, it := range cur {
 		n, ok := it.(*dom.Node)
 		if !ok {
-			return evalStep(c, cur, s) // raises XPTY0019 at the reference point
+			return evalStep(c, cur, op.s) // raises XPTY0019 at the reference point
 		}
 		if n.Kind == dom.Attribute {
 			continue // no descendants; indexable as an empty contribution
 		}
 		if _, ok := st.docFor(n).OrdinalOf(n); !ok {
-			return evalStep(c, cur, s) // constructed tree: no index
+			return evalStep(c, cur, op.s) // constructed tree: no index
 		}
 	}
-	inclSelf := s.axis == core.AxisDescendantOrSelf
+	inclSelf := op.s.axis == core.AxisDescendantOrSelf
 	var out Seq
 	sorted := true
 	var bind indexBinding
 	for _, it := range cur {
 		n := it.(*dom.Node)
 		d := st.docFor(n)
-		if bind.doc != d {
-			if op.bind.doc == d {
-				bind = op.bind
-			} else {
-				bind = resolveIndexBinding(d, s)
-			}
-		}
-		if bind.nameSym == 0 {
-			// The name occurs nowhere in this document: no candidate
-			// matches, so not even an unknown-hierarchy error can
-			// surface (the reference checks kind and name first).
-			continue
+		// st.runSeg is free for reuse: indexSegment consumes it before any
+		// predicate (which may scan again) runs.
+		if err := indexCandidates(op.indexBind(&bind, d), &st.runSeg, n, d, inclSelf); err != nil {
+			return nil, err
 		}
 		segStart := len(out)
 		var err error
-		out, err = appendIndexSeg(c, out, d, n, s, &bind, inclSelf, op)
-		if err != nil {
+		if out, err = indexSegment(c, op, &st.runSeg, out); err != nil {
 			return nil, err
 		}
-		seg := out[segStart:]
-		if sorted && len(seg) > 0 && segStart > 0 &&
-			dom.Compare(out[segStart-1].(*dom.Node), seg[0].(*dom.Node)) >= 0 {
+		if sorted && segStart > 0 && len(out) > segStart &&
+			dom.Compare(out[segStart-1].(*dom.Node), out[segStart].(*dom.Node)) >= 0 {
 			sorted = false
 		}
 	}
@@ -1022,183 +1041,89 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 	return out, nil
 }
 
-// appendIndexSeg appends one context node's result segment: index
-// candidates (every one already passes the node test), the positional
-// shortcut, then the remaining predicates — filterStep with the
-// per-candidate test replaced by run selection.
-func appendIndexSeg(c *context, out Seq, d *core.Document, n *dom.Node, s *step, bind *indexBinding, inclSelf bool, op *pathOp) (Seq, error) {
-	if bind.hierErr != nil {
-		// Unknown hierarchy in the test: the reference raises the error
-		// only when a candidate reaches the hierarchy check, i.e. when
-		// a kind+name match exists among this context's candidates.
-		if indexCandidateExists(d, n, bind.nameSym, inclSelf) {
-			return nil, bind.hierErr
-		}
-		return out, nil
+// indexCandidates loads context n's index-scan candidates into rs in
+// ascending document order: n itself when a descendant-or-self test
+// matches it (the root belongs to every hierarchy), then the name's
+// index runs restricted to n's subtree.
+// Only the shared root and hierarchy elements have element
+// descendants; other contexts contribute nothing to a name test.
+func indexCandidates(bind *indexBinding, rs *runSegCursor, n *dom.Node, d *core.Document, inclSelf bool) error {
+	rs.reset()
+	if bind.nameSym == 0 {
+		// The name occurs nowhere in this document: no candidate
+		// matches, so not even an unknown-hierarchy error can surface
+		// (the reference checks kind and name first).
+		return nil
 	}
-	segStart := len(out)
-	out = appendIndexCandidates(out, d, n, bind, inclSelf)
-	preds := s.preds
-	if s.posSel != 0 {
-		seg := out[segStart:]
-		var sel Item
-		if s.posSel > 0 {
-			if len(seg) >= s.posSel {
-				sel = seg[s.posSel-1]
-			}
-		} else if len(seg) > 0 { // [last()]
-			sel = seg[len(seg)-1]
-		}
-		out = out[:segStart]
-		if sel == nil {
-			return out, nil
-		}
-		out = append(out, sel)
-		preds = preds[1:]
-	}
-	if len(preds) > 0 {
-		seg := out[segStart:]
-		var kept Seq
-		var err error
-		if op != nil && parWorthwhile(c.st, op, len(seg)) {
-			kept, err = parFilterPreds(c, seg, preds, 0, len(seg), op.id)
-		} else {
-			kept, err = applyPredicatesInPlace(c, seg, preds)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = out[:segStart+len(kept)]
-	}
-	return out, nil
-}
-
-// appendIndexCandidates appends the index-selected candidates for one
-// context node in ascending document order. Only the shared root and
-// hierarchy elements can have element descendants; text, leaf and
-// attribute contexts contribute nothing to a name test.
-func appendIndexCandidates(out Seq, d *core.Document, n *dom.Node, bind *indexBinding, inclSelf bool) Seq {
 	switch {
 	case n == d.Root:
-		if inclSelf && n.NameSym == bind.nameSym {
-			out = append(out, n) // the root belongs to every hierarchy
-		}
 		if len(bind.hierIdx) > 0 {
 			for _, hi := range bind.hierIdx {
-				out = appendRun(out, d.Hiers[hi], d.Hiers[hi].NameRun(bind.nameSym))
+				rs.rc.Add(d.Hiers[hi], d.Hiers[hi].NameRun(bind.nameSym))
 			}
 		} else {
 			for _, h := range d.Hiers {
-				out = appendRun(out, h, h.NameRun(bind.nameSym))
+				rs.rc.Add(h, h.NameRun(bind.nameSym))
 			}
 		}
 	case n.Kind == dom.Element && n.HierIndex >= 0 && n.HierIndex < len(d.Hiers):
 		if !bind.allows(n.HierIndex) {
-			return out // descendants stay in the context's hierarchy
+			return nil // descendants stay in the context's hierarchy
 		}
 		h := d.Hiers[n.HierIndex]
-		if inclSelf && n.NameSym == bind.nameSym {
-			out = append(out, n)
-		}
-		out = appendRun(out, h, core.SubRun(h.NameRun(bind.nameSym), n.Ord, n.Last))
+		rs.rc.Add(h, core.SubRun(h.NameRun(bind.nameSym), n.Ord, n.Last))
+	default:
+		return nil
 	}
-	return out
+	if inclSelf && n.NameSym == bind.nameSym {
+		rs.self = n
+	}
+	if bind.hierErr != nil && rs.total() > 0 {
+		// Unknown hierarchy in the test: the reference raises the error
+		// only when a kind+name candidate reaches the hierarchy check.
+		return bind.hierErr
+	}
+	return nil
 }
 
-func appendRun(out Seq, h *core.Hierarchy, run []int32) Seq {
-	for _, ord := range run {
-		out = append(out, h.Nodes[ord])
+// indexSegment appends the segment whose candidates rs holds to out:
+// the positional shortcut, then the remaining predicates (morsel-
+// parallel when worthwhile). It is the per-context index-scan
+// implementation of both routes; rs is consumed before any predicate
+// runs.
+func indexSegment(c *context, op *pathOp, rs *runSegCursor, out Seq) (Seq, error) {
+	s := op.s
+	segStart := len(out)
+	preds := s.preds
+	if s.posSel != 0 {
+		// Run-level positional shortcut: [k]/[last()] index directly
+		// into the runs, O(1) instead of O(matches).
+		k := s.posSel - 1
+		if s.posSel < 0 {
+			k = rs.total() - 1
+		}
+		if k < 0 || k >= rs.total() {
+			return out, nil
+		}
+		out = append(out, rs.at(k))
+		preds = preds[1:]
+	} else {
+		out = rs.appendTo(out)
 	}
-	return out
-}
-
-// indexCandidateExists probes whether any kind+name match exists among
-// the context's descendant(-or-self) candidates, across all hierarchies
-// (the hierarchy restriction is what failed to resolve).
-func indexCandidateExists(d *core.Document, n *dom.Node, sym int32, inclSelf bool) bool {
-	switch {
-	case n == d.Root:
-		if inclSelf && n.NameSym == sym {
-			return true
-		}
-		for _, h := range d.Hiers {
-			if len(h.NameRun(sym)) > 0 {
-				return true
-			}
-		}
-	case n.Kind == dom.Element && n.HierIndex >= 0 && n.HierIndex < len(d.Hiers):
-		if inclSelf && n.NameSym == sym {
-			return true
-		}
-		if len(core.SubRun(d.Hiers[n.HierIndex].NameRun(sym), n.Ord, n.Last)) > 0 {
-			return true
-		}
+	if len(preds) == 0 {
+		return out, nil
 	}
-	return false
-}
-
-// evalChainScan evaluates a leading /child::a/child::b/… chain: scan
-// the index run of the chain's last name in every hierarchy (ascending
-// ordinals per hierarchy in hierarchy order — document order) and keep
-// the candidates whose ancestor chain matches the remaining names up to
-// the shared root.
-func evalChainScan(c *context, cur Seq, op *pathOp) (Seq, error) {
-	st := c.st
-	var out Seq
-	for _, it := range cur {
-		n, ok := it.(*dom.Node)
-		if !ok {
-			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", core.AxisChild)
-		}
-		d := st.docFor(n)
-		if n != d.Root {
-			// Only the shared root reaches a leading chain of an
-			// absolute path; be safe and evaluate stepwise otherwise.
-			return evalChainSteps(c, cur, op.chn)
-		}
-		bind := op.chainBind
-		if bind.doc != d {
-			bind = resolveChainBinding(d, op.chn)
-		}
-		if !bind.ok {
-			continue // some chain name occurs nowhere in the document
-		}
-		last := bind.syms[len(bind.syms)-1]
-		total := 0
-		for _, h := range d.Hiers {
-			total += len(h.NameRun(last))
-		}
-		if parWorthwhile(st, op, total) {
-			// Morsel-parallel ancestor verification over the materialized
-			// candidate list (already in document order).
-			cand := make([]*dom.Node, 0, total)
-			for _, h := range d.Hiers {
-				for _, ord := range h.NameRun(last) {
-					cand = append(cand, h.Nodes[ord])
-				}
-			}
-			kept, err := parFilterChain(c, cand, d, bind.syms, op.id)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range kept {
-				out = append(out, m)
-			}
-			continue
-		}
-		for _, h := range d.Hiers {
-			for _, ord := range h.NameRun(last) {
-				m := h.Nodes[ord]
-				if chainAncestorsMatch(d, m, bind.syms) {
-					out = append(out, m)
-				}
-			}
-		}
+	seg := out[segStart:]
+	var err error
+	if parWorthwhile(c.st, op, len(seg)) {
+		seg, err = parFilterPreds(c, seg, preds, 0, len(seg), op.id)
+	} else {
+		seg, err = applyPredicatesInPlace(c, seg, preds)
 	}
-	if len(cur) > 1 {
-		return sortDedupe(out), nil // multiple (identical) roots: restore the set property
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return out[:segStart+len(seg)], nil
 }
 
 // chainAncestorsMatch verifies one chain-scan candidate: its ancestor
@@ -1213,16 +1138,6 @@ func chainAncestorsMatch(d *core.Document, m *dom.Node, syms []int32) bool {
 		q = q.Parent
 	}
 	return q == d.Root
-}
-
-func evalChainSteps(c *context, cur Seq, chain []*step) (Seq, error) {
-	var err error
-	for _, s := range chain {
-		if cur, err = evalStep(c, cur, s); err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
 }
 
 // ---- EXPLAIN ---------------------------------------------------------------
@@ -1241,8 +1156,8 @@ type ExplainOp struct {
 	InRows  int64  `json:"in_rows,omitempty"`
 	OutRows int64  `json:"out_rows,omitempty"`
 	// EstRows is the planner's synopsis-based output-cardinality
-	// estimate (nil: the planner had no estimate for this operator); the
-	// detail line gains an "est=N" suffix, which is fixed at plan time.
+	// estimate (nil: the planner had no estimate for this operator),
+	// fixed at plan time; text renderers print it as an "est=N" suffix.
 	// Compare against OutRows from an instrumented run to judge estimate
 	// accuracy.
 	EstRows *int64 `json:"est_rows,omitempty"`
@@ -1290,7 +1205,6 @@ func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
 	if n.est >= 0 {
 		est := n.est
 		out.EstRows = &est
-		out.Detail += " est=" + strconv.FormatInt(est, 10)
 	}
 	if n.id >= 0 && n.id < len(counts) {
 		cd := counts[n.id]

@@ -63,6 +63,10 @@ type evalState struct {
 	// candidates are consumed into the step output before any nested
 	// evaluation can run.
 	axisBuf []*dom.Node
+	// runSeg is the reusable index-segment run cursor of the
+	// materialized index scan (evalIndexScan), consumed before any
+	// nested evaluation can run.
+	runSeg runSegCursor
 	// ordSet is the reusable ordinal scatter buffer that restores
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
@@ -376,18 +380,8 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 		c2 := *c // one scratch context per predicate, mutated per item
 		for i, it := range items {
 			c2.item, c2.pos, c2.size = it, i+1, size
-			v, err := evalMaybeLowered(&c2, pr)
+			keep, err := predKeeps(&c2, pr)
 			if err != nil {
-				return nil, err
-			}
-			keep := false
-			if len(v) == 1 {
-				if f, ok := v[0].(float64); ok {
-					keep = float64(i+1) == f
-				} else if keep, err = ebv(v); err != nil {
-					return nil, err
-				}
-			} else if keep, err = ebv(v); err != nil {
 				return nil, err
 			}
 			if keep {
@@ -398,6 +392,23 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 		items = items[:w]
 	}
 	return items, nil
+}
+
+// predKeeps evaluates predicate pr in the focus c (item, position and
+// size set) and applies the predicate rule: a single number keeps the
+// item iff it equals the position, anything else keeps it by effective
+// boolean value.
+func predKeeps(c *context, pr expr) (bool, error) {
+	v, err := evalMaybeLowered(c, pr)
+	if err != nil {
+		return false, err
+	}
+	if len(v) == 1 {
+		if f, ok := v[0].(float64); ok {
+			return float64(c.pos) == f, nil
+		}
+	}
+	return ebv(v)
 }
 
 // evalPrimStep evaluates a primary-expression step ("$x/string(.)") once

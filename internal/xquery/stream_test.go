@@ -4,6 +4,7 @@ import (
 	stdctx "context"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -162,6 +163,128 @@ func TestStreamErrorParity(t *testing.T) {
 			}
 		default:
 			t.Errorf("%q: eval err=%v, stream err=%v", src, evalErr, streamErr)
+		}
+	}
+}
+
+// parityQueries are the paper and benchmark shapes the explain parity
+// test adds to its generated queries: Queries I.1 and I.2, and the
+// split, damaged and nested benchmark workloads.
+var parityQueries = []string{
+	`for $l in /descendant::line
+  [xdescendant::w[string(.) = 'singallice'] or overlapping::w[string(.) = 'singallice']]
+return string($l)`,
+	`for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+return ( for $leaf in $l/descendant::leaf() return
+   if ($leaf[ancestor::w and ancestor::dmg]) then <b>{$leaf}</b> else $leaf
+ , <br/> )`,
+	`count(/descendant::w[overlapping::line])`,
+	`count(/descendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg])`,
+	`for $v in /descendant::vline
+	 for $w in $v/child::w
+	 where exists($w/overlapping::line)
+	 return string($w)`,
+}
+
+// TestExplainStreamParity pins the path accounting of the two entry
+// points: for every path, index-scan, chain-scan, axis-step and primary
+// operator, Explain (strict evaluation) and a fully drained
+// StreamExplain report the same calls, input rows and output rows.
+func TestExplainStreamParity(t *testing.T) {
+	docs := sweepDocs(t)
+	g := &qgen{r: rand.New(rand.NewSource(20261017))}
+	srcs := append([]string(nil), parityQueries...)
+	for i := 0; i < 400; i++ {
+		srcs = append(srcs, g.query())
+	}
+	pathOps := map[string]bool{"path": true, "index-scan": true, "chain-scan": true, "axis-step": true, "primary": true}
+	compared := 0
+	var compare func(src, at string, a, b *ExplainOp)
+	compare = func(src, at string, a, b *ExplainOp) {
+		at += "/" + a.Op
+		if a.Op != b.Op || len(a.Children) != len(b.Children) {
+			t.Fatalf("%q: tree shape diverged at %s", src, at)
+		}
+		if pathOps[a.Op] {
+			compared++
+			if a.Calls != b.Calls || a.InRows != b.InRows || a.OutRows != b.OutRows {
+				t.Errorf("%q: %s %s: explain {%d %d %d}, stream {%d %d %d}", src, at, a.Detail,
+					a.Calls, a.InRows, a.OutRows, b.Calls, b.InRows, b.OutRows)
+			}
+		}
+		for i := range a.Children {
+			compare(src, at, a.Children[i], b.Children[i])
+		}
+	}
+	for _, src := range srcs {
+		q := MustCompile(src)
+		for _, name := range []string{"boethius", "gen"} {
+			d := docs[name]
+			_, plain, err := q.Explain(d, nil, nil)
+			if err != nil {
+				continue
+			}
+			s, render := q.StreamExplain(nil, d, nil, nil)
+			if _, err := drainStream(s); err != nil {
+				t.Errorf("%q (%s): stream err=%v, explain ok", src, name, err)
+				continue
+			}
+			compare(src, name, plain, render())
+		}
+	}
+	if compared < 1000 {
+		t.Fatalf("only %d path operators compared", compared)
+	}
+	t.Logf("%d path operators compared", compared)
+}
+
+// TestUndefinedVariableEveryRoute: a variable the query never binds is
+// a static error (XPST0008) on every entry point, even where the
+// engine would never evaluate the reference — [0] pulls nothing from
+// its base, and the else branch of if (false()) never runs. A bound
+// variable (by the query or by the caller) is no error.
+func TestUndefinedVariableEveryRoute(t *testing.T) {
+	d := corpus.MustBoethius()
+	routes := []struct {
+		name string
+		run  func(q *Query, vars map[string]Seq) (Seq, error)
+	}{
+		{"eval", func(q *Query, vars map[string]Seq) (Seq, error) { return q.EvalWithVars(d, vars) }},
+		{"stream", func(q *Query, vars map[string]Seq) (Seq, error) { return drainStream(q.Stream(nil, d, vars, nil)) }},
+		{"explain", func(q *Query, vars map[string]Seq) (Seq, error) {
+			s, _, err := q.Explain(d, vars, nil)
+			return s, err
+		}},
+		{"analyze", func(q *Query, vars map[string]Seq) (Seq, error) {
+			s, _, err := q.ExplainAnalyze(d, vars, nil)
+			return s, err
+		}},
+		{"interpreter", func(q *Query, vars map[string]Seq) (Seq, error) {
+			debugNaiveSteps = true
+			defer func() { debugNaiveSteps = false }()
+			return q.EvalWithVars(d, vars)
+		}},
+	}
+	for _, src := range []string{`$A[0]`, `count($A[0])`, `if (false()) then $A else 1`} {
+		q := MustCompile(src)
+		for _, r := range routes {
+			if _, err := r.run(q, nil); errCode(err) != "XPST0008" {
+				t.Errorf("%s %q: err=%v, want XPST0008", r.name, src, err)
+			}
+		}
+	}
+	bound := MustCompile(`$A[0]`)
+	for _, tc := range []struct {
+		q    *Query
+		vars map[string]Seq
+	}{
+		{MustCompile(`for $A in //w return $A[0]`), nil},
+		{bound, map[string]Seq{"A": {1.0}}},
+	} {
+		for _, r := range routes {
+			if got, err := r.run(tc.q, tc.vars); err != nil || len(got) != 0 {
+				t.Errorf("%s %q: got %v err=%v, want ()", r.name, tc.q.Source(), got, err)
+			}
 		}
 	}
 }

@@ -191,7 +191,7 @@ func (g *qgen) query() string {
 
 // sweepDocs are the documents the sweep runs against: the Boethius
 // fixture plus one generated manuscript with damage overlap.
-func sweepDocs(t *testing.T) map[string]*core.Document {
+func sweepDocs(t testing.TB) map[string]*core.Document {
 	t.Helper()
 	d, err := corpus.Generate(corpus.Params{Seed: 7, Words: 20, DamageRate: 0.3, RestoreRate: 0.3}).Document()
 	if err != nil {

@@ -98,12 +98,6 @@ func CompileUpdate(src string) (u *Update, err error) {
 	return u, nil
 }
 
-// subQuery wraps a parsed sub-expression as a standalone compiled
-// query (plan-cached, cursor-executed like any read query).
-func subQuery(src string, e expr) *Query {
-	return &Query{src: src, body: e, strictOnly: hasAnalyzeString(e)}
-}
-
 // parseUpdatePrim parses one update primitive at the current token.
 func (p *parser) parseUpdatePrim(src string) *updOp {
 	switch {
@@ -121,20 +115,20 @@ func (p *parser) parseUpdatePrim(src string) *updOp {
 			default:
 				p.fail(`expected "into", "before" or "after"`)
 			}
-			op.target = subQuery(src, p.parseExprSingle())
+			op.target = newQuery(src, p.parseExprSingle())
 			return op
 		}
 		if p.eatName("hierarchy") {
 			op := &updOp{kind: updAddHier}
 			op.name = p.expect(tString).text
 			p.expectName("from")
-			op.with = subQuery(src, p.parseExprSingle())
+			op.with = newQuery(src, p.parseExprSingle())
 			return op
 		}
 		p.fail(`expected "node" or "hierarchy" after "insert"`)
 	case p.eatName("delete"):
 		if p.eatName("node") {
-			return &updOp{kind: updDeleteNode, target: subQuery(src, p.parseExprSingle())}
+			return &updOp{kind: updDeleteNode, target: newQuery(src, p.parseExprSingle())}
 		}
 		if p.eatName("hierarchy") {
 			return &updOp{kind: updRemoveHier, name: p.expect(tString).text}
@@ -143,18 +137,18 @@ func (p *parser) parseUpdatePrim(src string) *updOp {
 	case p.eatName("rename"):
 		p.expectName("node")
 		op := &updOp{kind: updRenameNode}
-		op.target = subQuery(src, p.parseExprSingle())
+		op.target = newQuery(src, p.parseExprSingle())
 		p.expectName("as")
-		op.with = subQuery(src, p.parseExprSingle())
+		op.with = newQuery(src, p.parseExprSingle())
 		return op
 	case p.eatName("replace"):
 		p.expectName("value")
 		p.expectName("of")
 		p.expectName("node")
 		op := &updOp{kind: updReplaceValue}
-		op.target = subQuery(src, p.parseExprSingle())
+		op.target = newQuery(src, p.parseExprSingle())
 		p.expectName("with")
-		op.with = subQuery(src, p.parseExprSingle())
+		op.with = newQuery(src, p.parseExprSingle())
 		return op
 	}
 	p.fail("expected an update expression (insert/delete/rename/replace)")

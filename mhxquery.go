@@ -376,7 +376,7 @@ type PlanOp struct {
 	// EstRows is the planner's estimated output cardinality for the
 	// operator, derived from the document's path synopsis (nil when the
 	// planner had no estimate). Compare against OutRows to judge
-	// estimate accuracy; the Detail line carries an "est=N" suffix.
+	// estimate accuracy; String prints it as an "est=N" suffix.
 	EstRows *int64 `json:"est_rows,omitempty"`
 	Nanos   int64  `json:"nanos,omitempty"`
 	// Parallel marks operators eligible for morsel-driven parallel
@@ -394,8 +394,8 @@ type PlanOp struct {
 }
 
 // String renders the operator tree as indented text, one operator per
-// line: the operator, its Detail (with the planner's "est=N"), "[index]"
-// when it reads the name index, the observed cardinalities and wall
+// line: the operator, its Detail, "[index]" when it reads the name
+// index, the planner's "est=N", the observed cardinalities and wall
 // time, and "workers=N morsels=M" when morsel parallelism engaged.
 func (op *PlanOp) String() string {
 	var b strings.Builder
@@ -411,6 +411,9 @@ func (op *PlanOp) writeText(b *strings.Builder, depth int) {
 	}
 	if op.Index {
 		b.WriteString(" [index]")
+	}
+	if op.EstRows != nil {
+		fmt.Fprintf(b, " est=%d", *op.EstRows)
 	}
 	fmt.Fprintf(b, "  calls=%d in=%d out=%d", op.Calls, op.InRows, op.OutRows)
 	if op.Nanos > 0 {

@@ -2,6 +2,7 @@ package mhxquery_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -291,6 +292,11 @@ func TestExplainPublicAPI(t *testing.T) {
 	if line := scan.String(); !strings.HasPrefix(line, "index-scan "+scan.Detail+" [index] ") ||
 		!strings.HasSuffix(line, " workers=2 morsels=8\n") {
 		t.Errorf("PlanOp.String = %q", line)
+	}
+	// So does the planner's estimate: EstRows, never Detail, carries it.
+	if scan.EstRows == nil || strings.Contains(scan.Detail, "est=") ||
+		!strings.Contains(scan.String(), fmt.Sprintf(" est=%d ", *scan.EstRows)) {
+		t.Errorf("estimate: EstRows=%v Detail=%q String=%q", scan.EstRows, scan.Detail, scan.String())
 	}
 
 	// The collection-level Explain reaches the same machinery.
