@@ -691,51 +691,39 @@ func BenchmarkUpdateExpression(b *testing.B) {
 }
 
 // BenchmarkUpdateDurable measures the end-to-end durable update path —
-// compile + apply + persist + publish, fsync included — through the
+// compile + apply + log append + publish, fsync included — through the
 // write-ahead log (small appended record, group commit, background
-// snapshots) against the pre-WAL write-through (whole document image
-// encoded, fsynced and renamed on every update), at 1×/10×/100× the
-// Boethius scale. The WAL's advantage grows with document size: the
-// log record stays a few dozen bytes while the write-through image
-// scales with the document.
+// snapshots) at 1×/10×/100× the Boethius scale.
 func BenchmarkUpdateDurable(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts collection.Options
-	}{
-		{"WAL", collection.Options{}},
-		{"WriteThrough", collection.Options{WriteThrough: true}},
-	} {
-		for _, scale := range []struct {
-			name  string
-			words int
-		}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
-			c := corpus.Generate(corpus.Params{Seed: 13, Words: scale.words, DamageRate: 0.12})
-			d, err := c.Document()
+	for _, scale := range []struct {
+		name  string
+		words int
+	}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
+		c := corpus.Generate(corpus.Params{Seed: 13, Words: scale.words, DamageRate: 0.12})
+		d, err := c.Document()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("WAL/"+scale.name, func(b *testing.B) {
+			coll, err := collection.Open(b.TempDir(), collection.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(mode.name+"/"+scale.name, func(b *testing.B) {
-				coll, err := collection.Open(b.TempDir(), mode.opts)
-				if err != nil {
+			defer coll.Close()
+			if _, err := coll.Put("bench", d); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Renaming to the same name keeps the document a fixed
+				// point, so the target exists on every iteration while
+				// each update still commits a new durable version.
+				if _, _, err := coll.Update("bench", `rename node (//w)[1] as "w"`); err != nil {
 					b.Fatal(err)
 				}
-				defer coll.Close()
-				if _, err := coll.Put("bench", d); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Renaming to the same name keeps the document a fixed
-					// point, so the target exists on every iteration while
-					// each update still commits a new durable version.
-					if _, _, err := coll.Update("bench", `rename node (//w)[1] as "w"`); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -970,20 +958,18 @@ func BenchmarkStoreEncode(b *testing.B) {
 	}
 }
 
-// ---- P15: cold open — v2 tree decode vs v3 slab open --------------------------
+// ---- P15: cold open of a slab snapshot image ----------------------------------
 
-// openColdFixture encodes the scaled generated manuscript in both
-// snapshot formats and writes the v3 image to disk for the mmap leg.
-func openColdFixture(b *testing.B, words int) (v2img, v3img []byte, v3path string) {
+// openColdFixture encodes the scaled generated manuscript as a snapshot
+// image and writes it to disk for the mmap leg; it also returns the
+// heap-built source document.
+func openColdFixture(b *testing.B, words int) (d *core.Document, v3img []byte, v3path string) {
 	b.Helper()
 	d, err := corpus.Generate(corpus.Params{Seed: 14, Words: words, DamageRate: 0.12}).Document()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var v2, v3 bytes.Buffer
-	if err := store.EncodeSnapshotV2(&v2, d, 1); err != nil {
-		b.Fatal(err)
-	}
+	var v3 bytes.Buffer
 	if err := store.EncodeSnapshot(&v3, d, 1); err != nil {
 		b.Fatal(err)
 	}
@@ -991,29 +977,19 @@ func openColdFixture(b *testing.B, words int) (v2img, v3img []byte, v3path strin
 	if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	return v2.Bytes(), v3.Bytes(), path
+	return d, v3.Bytes(), path
 }
 
 // BenchmarkOpenCold measures snapshot open latency at 1×/10×/100× the
-// Boethius fixture: the v2 varint tree decode (rebuilds the KyGODDAG
-// and its indexes eagerly) against the v3 slab open (validates
-// checksums, installs the eager layers, materializes nothing) — from a
-// byte slice and from a memory-mapped file.
+// Boethius fixture: the slab open validates checksums, installs the
+// eager layers and materializes nothing — from a byte slice and from a
+// memory-mapped file.
 func BenchmarkOpenCold(b *testing.B) {
 	for _, scale := range []struct {
 		name  string
 		words int
 	}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
-		v2img, v3img, v3path := openColdFixture(b, scale.words)
-		b.Run(scale.name+"/v2heap", func(b *testing.B) {
-			b.SetBytes(int64(len(v2img)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := store.DecodeSnapshot(bytes.NewReader(v2img)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		_, v3img, v3path := openColdFixture(b, scale.words)
 		b.Run(scale.name+"/v3bytes", func(b *testing.B) {
 			b.SetBytes(int64(len(v3img)))
 			b.ReportAllocs()
@@ -1047,31 +1023,20 @@ func BenchmarkOpenCold(b *testing.B) {
 }
 
 // BenchmarkOpenFirstQuery measures time-to-first-answer: open the
-// snapshot and run one indexed count. The v3 leg pays lazy
-// materialization on the first query; the comparison shows the cold
-// open win survives the first real use.
+// snapshot and run one indexed count, paying lazy materialization on
+// the first query.
 func BenchmarkOpenFirstQuery(b *testing.B) {
 	cq := xquery.MustCompile(`count(//w)`)
 	for _, scale := range []struct {
 		name  string
 		words int
 	}{{"1x", 6}, {"100x", 600}} {
-		v2img, v3img, _ := openColdFixture(b, scale.words)
-		want := ""
-		b.Run(scale.name+"/v2heap", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d, _, err := store.DecodeSnapshot(bytes.NewReader(v2img))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := cq.Eval(d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				want = xquery.Serialize(res)
-			}
-		})
+		src, v3img, _ := openColdFixture(b, scale.words)
+		res, err := cq.Eval(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := xquery.Serialize(res)
 		b.Run(scale.name+"/v3slab", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -1083,7 +1048,7 @@ func BenchmarkOpenFirstQuery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := xquery.Serialize(res); want != "" && got != want {
+				if got := xquery.Serialize(res); got != want {
 					b.Fatalf("got %q, want %q", got, want)
 				}
 			}

@@ -21,12 +21,12 @@
 // response acknowledges them, while whole document images are written
 // in the background (every -snapshot-every updates or -snapshot-bytes
 // logged bytes per document). A restart replays the log, so every
-// acknowledged update survives a crash; -write-through restores the
-// pre-WAL behavior of persisting a full image synchronously on each
-// update. The collection opens (and replays) in the background:
-// /readyz answers 503 {"status":"recovering"} and collection endpoints
-// 503 until replay finishes. With -boethius the paper's Figure 1
-// fixture is preloaded under the name "boethius".
+// acknowledged update survives a crash. Document images are
+// memory-mapped on open where the platform supports it. The collection
+// opens (and replays) in the background: /readyz answers 503
+// {"status":"recovering"} and collection endpoints 503 until replay
+// finishes. With -boethius the paper's Figure 1 fixture is preloaded
+// under the name "boethius".
 //
 // Endpoints (all JSON unless noted):
 //
@@ -109,7 +109,7 @@ const maxBodyBytes = 32 << 20
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	dir := flag.String("dir", "", "corpus directory (loaded at startup, written through on ingest; empty = memory-only)")
+	dir := flag.String("dir", "", "corpus directory (loaded at startup, kept durable through a write-ahead log; empty = memory-only)")
 	workers := flag.Int("workers", 0, "fan-out worker pool size (0 = GOMAXPROCS)")
 	queryWorkers := flag.Int("query-workers", 0, "per-query morsel-execution workers, drawn from the shared pool (0 = GOMAXPROCS, 1 = serial)")
 	cache := flag.Int("cache", 0, "compiled-query cache entries (0 = 128, negative = disabled)")
@@ -122,8 +122,6 @@ func main() {
 	walFlush := flag.Duration("wal-flush", 0, "WAL group-commit window: extra latency a commit may wait to share an fsync with its neighbors (0 = flush immediately)")
 	snapEvery := flag.Int("snapshot-every", 0, "write a background document snapshot after this many logged updates (0 = default 256, negative = never)")
 	snapBytes := flag.Int64("snapshot-bytes", 0, "write a background document snapshot after this many logged bytes (0 = default 4MiB, negative = never)")
-	writeThrough := flag.Bool("write-through", false, "disable the write-ahead log and persist a full document image synchronously on every update")
-	mmap := flag.Bool("mmap", true, "memory-map v3 snapshot images on startup (lazy, zero-copy open); -mmap=false reads them into memory instead")
 	flag.Parse()
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -133,11 +131,9 @@ func main() {
 	opts := mhxquery.CollectionOptions{
 		Workers:       *workers,
 		CacheSize:     *cache,
-		WriteThrough:  *writeThrough,
 		FlushWindow:   *walFlush,
 		SnapshotEvery: *snapEvery,
 		SnapshotBytes: *snapBytes,
-		NoMmap:        !*mmap,
 	}
 	if *pprofAddr != "" {
 		// The profiling handlers get a private mux registered explicitly,

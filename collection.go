@@ -43,10 +43,6 @@ type CollectionOptions struct {
 	// 0 means 128, negative disables caching.
 	CacheSize int
 
-	// WriteThrough reverts a persistent collection to the pre-WAL write
-	// path (every update re-encodes the whole document image before
-	// acknowledging). Durable but O(document) per commit.
-	WriteThrough bool
 	// FlushWindow bounds the extra latency the WAL group-commit writer
 	// may add waiting for concurrent commits to share one fsync;
 	// 0 fsyncs immediately (concurrent commits still batch).
@@ -57,17 +53,10 @@ type CollectionOptions struct {
 	// SnapshotBytes re-snapshots after this many logged bytes per
 	// document (0 means 4 MiB, negative disables).
 	SnapshotBytes int64
-
-	// NoMmap forces OpenCollection to read snapshot images into memory
-	// instead of memory-mapping them. By default v3 images are mapped
-	// where the platform supports it (see the README's storage-layout
-	// section); set this — or MHX_NO_MMAP=1 — to opt out.
-	NoMmap bool
 }
 
 // RecoveryStats reports what OpenCollection had to do to bring a
-// durable collection back (zero for memory-only and write-through
-// collections).
+// durable collection back (zero for memory-only collections).
 type RecoveryStats = collection.RecoveryStats
 
 // NewCollection returns an empty in-memory collection.
@@ -77,19 +66,17 @@ func NewCollection(opts CollectionOptions) *Collection {
 
 // OpenCollection returns a collection persisted under dir: the
 // directory is created if needed, every document image (*.mhxg) in it
-// is loaded, and — unless WriteThrough is set — the write-ahead log is
-// replayed over the snapshots (crash recovery; see Recovery for what
-// that took). Subsequent updates commit through the log with group-
-// committed fsyncs and background snapshotting.
+// is loaded (memory-mapped where the platform supports it), and the
+// write-ahead log is replayed over the snapshots (crash recovery; see
+// Recovery for what that took). Subsequent updates commit through the
+// log with group-committed fsyncs and background snapshotting.
 func OpenCollection(dir string, opts CollectionOptions) (*Collection, error) {
 	c, err := collection.Open(dir, collection.Options{
 		Workers:       opts.Workers,
 		CacheSize:     opts.CacheSize,
-		WriteThrough:  opts.WriteThrough,
 		FlushWindow:   opts.FlushWindow,
 		SnapshotEvery: opts.SnapshotEvery,
 		SnapshotBytes: opts.SnapshotBytes,
-		NoMmap:        opts.NoMmap,
 	})
 	if err != nil {
 		return nil, err

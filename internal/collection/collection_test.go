@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
+	"mhxquery/internal/wal"
 	"mhxquery/internal/xmlparse"
 	"mhxquery/internal/xquery"
 )
@@ -97,7 +99,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, c, 3)
-	// Images land in dir immediately (write-through).
+	// Put makes each image durable before it publishes the document.
 	for _, name := range c.Names() {
 		if _, err := os.Stat(filepath.Join(dir, name+imageExt)); err != nil {
 			t.Fatalf("image for %s: %v", name, err)
@@ -403,6 +405,51 @@ func TestPlanCacheKeyedBySignature(t *testing.T) {
 	}
 }
 
+// TestMemoryUpdateSerializesWithWriters: a memory-only Update reads,
+// applies and publishes under the writer lock that Put and Delete also
+// take, so a Delete racing an Update never has the document brought
+// back, and a Put racing it is never overwritten by a version derived
+// from the document it replaced.
+func TestMemoryUpdateSerializesWithWriters(t *testing.T) {
+	base := genDoc(t, 5, 3000)
+	other := genDoc(t, 6, 3000)
+	if base.Text == other.Text {
+		t.Fatal("fixture documents share their text")
+	}
+	for i := 0; i < 400; i++ {
+		c := New(Options{})
+		if _, err := c.Put("a", base); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := c.Update("a", `rename node //w as "w"`)
+			done <- err
+		}()
+		// The stagger spreads the writer's arrival across the update's
+		// read, apply and publish phases; it synchronizes nothing.
+		time.Sleep(time.Duration(i/2%40) * 10 * time.Microsecond)
+		deleting := i%2 == 0
+		if deleting {
+			if err := c.Delete("a"); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := c.Put("a", other); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil && !errors.Is(err, ErrNotFound) {
+			t.Fatal(err)
+		}
+		d, ok := c.Get("a")
+		switch {
+		case deleting && ok:
+			t.Fatalf("round %d: Update brought back a deleted document", i)
+		case !deleting && d.Text != other.Text:
+			t.Fatalf("round %d: Update overwrote a concurrent Put", i)
+		}
+	}
+}
+
 func TestUpdatePublishesNewVersion(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, Options{})
@@ -453,8 +500,8 @@ func TestUpdatePublishesNewVersion(t *testing.T) {
 		t.Fatal("failed update must not publish")
 	}
 
-	// Write-through: a fresh collection over the directory has the
-	// updated content.
+	// Durability: a fresh collection over the directory has the updated
+	// content.
 	c.Close()
 	c2, err := Open(dir, Options{})
 	if err != nil {
@@ -470,18 +517,22 @@ func TestUpdatePublishesNewVersion(t *testing.T) {
 	}
 }
 
-// TestOpenServesIndexQueriesWithoutBuilds: v3 snapshot images persist
-// the per-hierarchy name-index runs, so a fresh Open followed by
+// readFS is the real filesystem under a type other than wal.OSFS, so
+// Open reads snapshot images into memory instead of mapping them.
+type readFS struct{ wal.OSFS }
+
+// TestOpenServesIndexQueriesWithoutBuilds: snapshot images persist the
+// per-hierarchy name-index runs, so a fresh Open followed by
 // index-served queries performs zero index builds — in both the mmap
 // and the read-into-memory open paths.
 func TestOpenServesIndexQueriesWithoutBuilds(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		noMmap bool
-	}{{"mmap", false}, {"fallback", true}} {
+		name string
+		fs   wal.FS
+	}{{"mmap", wal.OS}, {"fallback", readFS{}}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := Open(dir, Options{NoMmap: tc.noMmap})
+			c, err := Open(dir, Options{FS: tc.fs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,7 +542,7 @@ func TestOpenServesIndexQueriesWithoutBuilds(t *testing.T) {
 			}
 
 			before := core.GlobalIndexStats().Builds
-			c2, err := Open(dir, Options{NoMmap: tc.noMmap})
+			c2, err := Open(dir, Options{FS: tc.fs})
 			if err != nil {
 				t.Fatal(err)
 			}

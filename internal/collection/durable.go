@@ -49,7 +49,7 @@ type RecoveryStats struct {
 }
 
 // Recovery returns what Open had to replay (zero value for memory-only
-// and write-through collections).
+// collections).
 func (c *Collection) Recovery() RecoveryStats { return c.recovery }
 
 // WALStats exposes the log's lifetime counters (zero value when the
@@ -209,12 +209,13 @@ func (c *Collection) writeImage(name string, d *core.Document, snapSeq uint64) e
 
 // ---- durable write path ---------------------------------------------------
 
-// updateDurable is the WAL-mode commit path: apply under the writer
-// lock, append to the log, publish in memory, then release the writer
-// lock and wait for the group-commit fsync before acknowledging. The
-// wait happens outside updateMu, so concurrent committers pile into
-// one fsync batch — that is what group commit buys.
-func (c *Collection) updateDurable(ctx context.Context, name, src string, u *xquery.Update) (*core.Document, *xquery.UpdateReport, error) {
+// update is the commit path of Update: apply under the writer lock,
+// append to the log (persistent collections), publish in memory, then
+// release the writer lock and wait for the group-commit fsync before
+// acknowledging. The wait happens outside updateMu, so concurrent
+// committers pile into one fsync batch — that is what group commit
+// buys.
+func (c *Collection) update(ctx context.Context, name, src string, u *xquery.Update) (*core.Document, *xquery.UpdateReport, error) {
 	start := time.Now()
 	c.updateMu.Lock()
 	v := c.view()
@@ -228,10 +229,13 @@ func (c *Collection) updateDurable(ctx context.Context, name, src string, u *xqu
 		c.updateMu.Unlock()
 		return nil, nil, err
 	}
-	commit, err := c.wal.Append(wal.Record{Kind: wal.Update, Name: name, Base: d.Rev, Src: src})
-	if err != nil {
-		c.updateMu.Unlock()
-		return nil, nil, fmt.Errorf("collection: %w", err)
+	var commit *wal.Commit
+	if c.wal != nil {
+		commit, err = c.wal.Append(wal.Record{Kind: wal.Update, Name: name, Base: d.Rev, Src: src})
+		if err != nil {
+			c.updateMu.Unlock()
+			return nil, nil, fmt.Errorf("collection: %w", err)
+		}
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -240,26 +244,30 @@ func (c *Collection) updateDurable(ctx context.Context, name, src string, u *xqu
 		return nil, nil, fmt.Errorf("collection: closed")
 	}
 	c.docs[name] = nd
-	c.pubSeq = commit.Seq()
-	st := c.logState[name]
-	if st == nil {
-		st = &docState{}
-		c.logState[name] = st
-	}
-	st.lastSeq = commit.Seq()
-	st.pendingRecs++
-	st.pendingBytes += int64(len(src))
-	if st.pendingRecs >= c.snapEvery || st.pendingBytes >= c.snapBytes {
-		c.snapRequest(name)
+	if commit != nil {
+		c.pubSeq = commit.Seq()
+		st := c.logState[name]
+		if st == nil {
+			st = &docState{}
+			c.logState[name] = st
+		}
+		st.lastSeq = commit.Seq()
+		st.pendingRecs++
+		st.pendingBytes += int64(len(src))
+		if st.pendingRecs >= c.snapEvery || st.pendingBytes >= c.snapBytes {
+			c.snapRequest(name)
+		}
 	}
 	c.mu.Unlock()
 	c.updateMu.Unlock()
 
-	if err := commit.Wait(); err != nil {
-		// The new version is already visible in memory but is NOT
-		// durable: the log is poisoned and refuses further commits
-		// rather than risk acknowledging updates it cannot persist.
-		return nil, nil, fmt.Errorf("collection: %w", err)
+	if commit != nil {
+		if err := commit.Wait(); err != nil {
+			// The new version is already visible in memory but is NOT
+			// durable: the log is poisoned and refuses further commits
+			// rather than risk acknowledging updates it cannot persist.
+			return nil, nil, fmt.Errorf("collection: %w", err)
+		}
 	}
 	c.metrics.observeUpdate(start)
 	return nd, rep, nil
@@ -268,10 +276,8 @@ func (c *Collection) updateDurable(ctx context.Context, name, src string, u *xqu
 // putDurable registers a whole document in WAL mode. The image itself
 // is the durable record: it claims coverage of every log sequence
 // assigned so far, so older update records for this name are dead on
-// replay. Serialized with updates via updateMu so that claim is sound.
+// replay. Called with updateMu held, so that claim is sound.
 func (c *Collection) putDurable(name string, d *core.Document) (replaced bool, err error) {
-	c.updateMu.Lock()
-	defer c.updateMu.Unlock()
 	seq := c.wal.LastSeq()
 	tmp, err := c.encodeTemp(name, d, seq)
 	if err != nil {
@@ -299,10 +305,9 @@ func (c *Collection) putDurable(name string, d *core.Document) (replaced bool, e
 
 // deleteDurable removes a document in WAL mode: a tombstone record
 // makes the deletion durable (and replayable) before the image is
-// removed, so a crash in between cannot resurrect the document.
+// removed, so a crash in between cannot resurrect the document. Called
+// with updateMu held.
 func (c *Collection) deleteDurable(name string) error {
-	c.updateMu.Lock()
-	defer c.updateMu.Unlock()
 	c.mu.Lock()
 	d, ok := c.docs[name]
 	c.mu.Unlock()

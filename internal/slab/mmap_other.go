@@ -4,11 +4,12 @@ package slab
 
 import "os"
 
-func mmapSupported() bool { return false }
-
-func mapFile(path string) ([]byte, bool, error) {
-	data, err := os.ReadFile(path)
+// MapFile reads the file into memory: this platform has no mmap, so
+// mapped is always false.
+func MapFile(path string) (data []byte, mapped bool, err error) {
+	data, err = os.ReadFile(path)
 	return data, false, err
 }
 
-func unmap(data []byte) error { return nil }
+// Unmap is a no-op: MapFile never maps here.
+func Unmap(data []byte, mapped bool) error { return nil }

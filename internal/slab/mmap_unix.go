@@ -7,12 +7,14 @@ import (
 	"syscall"
 )
 
-func mmapSupported() bool { return true }
-
-// mapFile maps path read-only. Any mapping failure — empty file, size
-// overflow, mmap refusal — degrades to a plain read: the caller gets
-// the same bytes either way, just without the page-cache sharing.
-func mapFile(path string) ([]byte, bool, error) {
+// MapFile returns the file's bytes as a read-only memory mapping; the
+// bool reports whether they are one. Any mapping failure — empty file,
+// size overflow, mmap refusal — degrades to a plain read: the caller
+// gets the same bytes either way, just without the page-cache sharing.
+// Mapped bytes must be released with Unmap — but only once nothing
+// aliases them; a mapping serving an open document is simply kept for
+// the life of the process.
+func MapFile(path string) ([]byte, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
@@ -35,4 +37,11 @@ func mapFile(path string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-func unmap(data []byte) error { return syscall.Munmap(data) }
+// Unmap releases bytes returned by MapFile. It is a no-op for
+// heap-backed reads.
+func Unmap(data []byte, mapped bool) error {
+	if !mapped || data == nil {
+		return nil
+	}
+	return syscall.Munmap(data)
+}

@@ -1,47 +1,34 @@
-// Package store persists multihierarchical documents in a compact binary
+// Package store persists multihierarchical documents in a binary image
 // format — the storage side of the paper's "framework for management of
 // concurrent XML markup" ([5]). The image contains the base text once
 // plus the markup structure of every hierarchy; text content is never
 // duplicated, since every text node is a slice of S.
 //
-// Format v3 frames an internal/slab columnar image: the document is laid
-// out so that opening a snapshot is O(validation) — a checksummed linear
-// scan — instead of O(rebuild), and the opened document serves its base
-// text, boundary array and name-index runs directly off the image
-// (memory-mapped via OpenSnapshotFile where the platform allows),
-// materializing dom.Node storage lazily per hierarchy. Formats v1 and v2
-// (varint tree encodings rebuilt through core.Build) still decode.
+// An image frames an internal/slab columnar layout: the document is
+// laid out so that opening a snapshot is O(validation) — a checksummed
+// linear scan — instead of O(rebuild), and the opened document serves
+// its base text, boundary array and name-index runs directly off the
+// image (memory-mapped via OpenSnapshotFile where the platform allows),
+// materializing dom.Node storage lazily per hierarchy.
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"mhxquery/internal/core"
-	"mhxquery/internal/dom"
 	"mhxquery/internal/slab"
 )
 
-// magic and version identify the image format. Version 2 adds the
-// document revision, the WAL sequence number the snapshot covers, and
-// a CRC32C trailer over the whole image; version 3 replaces the varint
-// tree encoding with the mmap-able slab layout (internal/slab). Version
-// 3 writes the version as one byte followed by three zero bytes, so the
-// slab starts 8-byte aligned at offset 8; versions 1 and 2 still decode.
+// magic and version identify the image format. The version is one
+// byte followed by three zero bytes, so the slab starts 8-byte aligned
+// at offset 8. Versions 1 and 2 (varint tree encodings) are no longer
+// read; an image carrying them is reported as corrupt.
 const (
-	magic    = "MHXG"
-	version1 = 1
-	version2 = 2
-	version3 = 3
-	version  = version3
+	magic   = "MHXG"
+	version = 3
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt tags every way an image can be damaged — bad magic,
 // checksum mismatch, truncation, or structurally invalid content —
@@ -52,23 +39,11 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("store: "+format+": %w", append(args, ErrCorrupt)...)
 }
 
-// crcWriter checksums everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	sum uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum = crc32.Update(c.sum, crcTable, p[:n])
-	return n, err
-}
-
 // Encode writes a binary image of the document to w.
 func Encode(w io.Writer, d *core.Document) error { return EncodeSnapshot(w, d, 0) }
 
-// EncodeSnapshot writes a format-v3 image recording that the snapshot
-// covers every WAL record with sequence number ≤ snapSeq.
+// EncodeSnapshot writes an image recording that the snapshot covers
+// every WAL record with sequence number ≤ snapSeq.
 func EncodeSnapshot(w io.Writer, d *core.Document, snapSeq uint64) error {
 	blob, err := slab.Encode(d, snapSeq)
 	if err != nil {
@@ -76,7 +51,7 @@ func EncodeSnapshot(w io.Writer, d *core.Document, snapSeq uint64) error {
 	}
 	var hdr [8]byte
 	copy(hdr[:], magic)
-	hdr[4] = version3 // bytes 5..7 stay zero so the slab starts aligned
+	hdr[4] = version // bytes 5..7 stay zero so the slab starts aligned
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -84,149 +59,16 @@ func EncodeSnapshot(w io.Writer, d *core.Document, snapSeq uint64) error {
 	return err
 }
 
-// EncodeSnapshotV2 writes the legacy varint tree encoding (format v2).
-// Kept for the format-compat suite and for producing images older
-// builds can read.
-func EncodeSnapshotV2(w io.Writer, d *core.Document, snapSeq uint64) error {
-	d.Materialize()
-	cw := &crcWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	e := &encoder{w: bw, intern: map[string]uint64{}}
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	e.uvarint(version2)
-	e.uvarint(d.Rev)
-	e.uvarint(snapSeq)
-
-	// String table: element/attribute names and attribute values.
-	var table []string
-	add := func(s string) {
-		if _, ok := e.intern[s]; !ok {
-			e.intern[s] = uint64(len(table))
-			table = append(table, s)
-		}
-	}
-	for _, h := range d.Hiers {
-		add(h.Name)
-		for _, n := range h.Nodes {
-			if n.Kind == dom.Element {
-				add(n.Name)
-				for _, a := range n.Attrs {
-					add(a.Name)
-					add(a.Data)
-				}
-			}
-		}
-	}
-	add(d.Root.Name)
-	for _, a := range d.Root.Attrs {
-		add(a.Name)
-		add(a.Data)
-	}
-	e.uvarint(uint64(len(table)))
-	for _, s := range table {
-		e.str(s)
-	}
-
-	e.str(d.Text)
-	e.ref(d.Root.Name)
-	e.uvarint(uint64(len(d.Root.Attrs)))
-	for _, a := range d.Root.Attrs {
-		e.ref(a.Name)
-		e.ref(a.Data)
-	}
-	e.uvarint(uint64(len(d.Hiers)))
-	for _, h := range d.Hiers {
-		e.ref(h.Name)
-		e.uvarint(uint64(len(h.Top)))
-		for _, t := range h.Top {
-			e.node(t)
-		}
-	}
-	if e.err != nil {
-		return e.err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// CRC32C trailer over everything written so far; written directly so
-	// it does not checksum itself.
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], cw.sum)
-	_, err := w.Write(tr[:])
-	return err
-}
-
-type encoder struct {
-	w      *bufio.Writer
-	intern map[string]uint64
-	buf    [binary.MaxVarintLen64]byte
-	err    error
-}
-
-func (e *encoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
-}
-
-func (e *encoder) ref(s string) { e.uvarint(e.intern[s]) }
-
-// node writes one tree node: kind, name/attrs (elements) and span
-// (element: start+length; text: length only, start is implied by
-// context on decode... we store start deltas for robustness).
-func (e *encoder) node(n *dom.Node) {
-	e.uvarint(uint64(n.Kind))
-	switch n.Kind {
-	case dom.Element:
-		e.ref(n.Name)
-		e.uvarint(uint64(n.Start))
-		e.uvarint(uint64(n.End - n.Start))
-		e.uvarint(uint64(len(n.Attrs)))
-		for _, a := range n.Attrs {
-			e.ref(a.Name)
-			e.ref(a.Data)
-		}
-		e.uvarint(uint64(len(n.Children)))
-		for _, c := range n.Children {
-			e.node(c)
-		}
-	case dom.Text:
-		e.uvarint(uint64(n.Start))
-		e.uvarint(uint64(n.End - n.Start))
-	case dom.Comment, dom.ProcInst:
-		// Comments/PIs carry no base text; store name+data inline.
-		e.str(n.Name)
-		e.str(n.Data)
-		e.uvarint(uint64(n.Start))
-	default:
-		if e.err == nil {
-			e.err = fmt.Errorf("store: cannot encode %s node", n.Kind)
-		}
-	}
-}
-
-// Decode reads a binary image and rebuilds the document (including all
-// KyGODDAG indexes, via core.Build). Corruption — bad magic, checksum
-// mismatch, truncation, invalid structure — is reported as an error
-// wrapping ErrCorrupt.
+// Decode reads a binary image and opens the document. Corruption — bad
+// magic, checksum mismatch, truncation, invalid structure, an
+// unsupported version — is reported as an error wrapping ErrCorrupt.
 func Decode(r io.Reader) (*core.Document, error) {
 	doc, _, err := DecodeSnapshot(r)
 	return doc, err
 }
 
 // DecodeSnapshot is Decode plus the WAL sequence number the snapshot
-// covers (0 for version-1 images, which predate the WAL).
+// covers.
 func DecodeSnapshot(r io.Reader) (*core.Document, uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -235,218 +77,49 @@ func DecodeSnapshot(r io.Reader) (*core.Document, uint64, error) {
 	return OpenSnapshotBytes(data)
 }
 
-// OpenSnapshotBytes decodes a snapshot image held in memory. For a v3
-// image the returned document serves base text, bounds and index runs
-// directly off data — which therefore must stay immutable for the
-// document's lifetime — and materializes node storage lazily; v1/v2
-// images are rebuilt eagerly and do not retain data.
+// OpenSnapshotBytes decodes a snapshot image held in memory. The
+// returned document serves base text, bounds and index runs directly
+// off data — which therefore must stay immutable for the document's
+// lifetime — and materializes node storage lazily.
 func OpenSnapshotBytes(data []byte) (*core.Document, uint64, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, 0, corrupt("bad magic")
 	}
-	// v3 stores the version as one literal byte (plus three zero pads),
-	// not a uvarint: the check is exact so no alternative encoding of
-	// "3" can smuggle in a differently-framed image.
-	if len(data) >= 8 && data[4] == version3 {
-		if data[5] != 0 || data[6] != 0 || data[7] != 0 {
-			return nil, 0, corrupt("nonzero version padding")
-		}
-		s, err := slab.Open(data[8:])
-		if err != nil {
-			return nil, 0, corrupt("%v", err)
-		}
-		return s.Document(), s.SnapSeq(), nil
+	if len(data) < 8 {
+		return nil, 0, corrupt("truncated header")
 	}
-	body := data[len(magic):]
-	v, n := binary.Uvarint(body)
-	if n <= 0 {
-		return nil, 0, corrupt("truncated version")
-	}
-	body = body[n:]
-	var rev, snapSeq uint64
-	switch v {
-	case version1:
-		// Legacy image: no revision, no coverage, no trailer.
-	case version2:
-		if len(data) < 4 {
-			return nil, 0, corrupt("truncated image")
-		}
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if crc32.Checksum(data[:len(data)-4], crcTable) != want {
-			return nil, 0, corrupt("checksum mismatch")
-		}
-		body = body[:len(body)-4]
-		if rev, n = binary.Uvarint(body); n <= 0 {
-			return nil, 0, corrupt("truncated revision")
-		}
-		body = body[n:]
-		if snapSeq, n = binary.Uvarint(body); n <= 0 {
-			return nil, 0, corrupt("truncated snapshot sequence")
-		}
-		body = body[n:]
-	default:
+	// The version is one literal byte (plus three zero pads), not a
+	// uvarint: the check is exact so no alternative encoding of it can
+	// smuggle in a differently-framed image.
+	if v := data[4]; v != version {
 		if v > version {
 			return nil, 0, fmt.Errorf("store: image version %d is newer than the supported version %d; rebuild with a newer mhxquery or re-encode the document", v, version)
 		}
 		return nil, 0, corrupt("unsupported version %d", v)
 	}
-	doc, err := decodeBody(body)
-	if err != nil {
-		return nil, 0, err
+	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
+		return nil, 0, corrupt("nonzero version padding")
 	}
-	doc.Rev = rev
-	return doc, snapSeq, nil
+	s, err := slab.Open(data[8:])
+	if err != nil {
+		return nil, 0, corrupt("%v", err)
+	}
+	return s.Document(), s.SnapSeq(), nil
 }
 
-// OpenSnapshotFile opens a snapshot from disk, memory-mapping v3 images
-// where the platform (and MHX_NO_MMAP) allow so the page cache is
-// shared across processes and nothing is copied up front. The mapping
-// backs the returned document and is retained for the life of the
-// process; legacy images are decoded eagerly and the mapping released.
+// OpenSnapshotFile opens a snapshot from disk, memory-mapping it where
+// the platform allows so the page cache is shared across processes and
+// nothing is copied up front. The mapping backs the returned document
+// and is retained for the life of the process; it is released only
+// when the image fails to open.
 func OpenSnapshotFile(path string) (*core.Document, uint64, error) {
 	data, mapped, err := slab.MapFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	doc, seq, err := OpenSnapshotBytes(data)
-	if err != nil || !(len(data) >= 8 && data[4] == version3) {
-		// Nothing aliases the bytes: v1/v2 decoding copies what it keeps.
-		_ = slab.Unmap(data, mapped)
+	if err != nil {
+		_ = slab.Unmap(data, mapped) // nothing aliases the bytes of a failed open
 	}
 	return doc, seq, err
-}
-
-// MmapAvailable reports whether OpenSnapshotFile would memory-map v3
-// images on this host (see slab.UseMmap).
-func MmapAvailable() bool { return slab.UseMmap() }
-
-// decodeBody parses the string table, text and hierarchy trees (the
-// layout shared by both format versions) and rebuilds the document.
-func decodeBody(body []byte) (*core.Document, error) {
-	d := &decoder{r: bufio.NewReader(bytes.NewReader(body))}
-	table := make([]string, d.uvarint())
-	for i := range table {
-		table[i] = d.str()
-	}
-	d.table = table
-
-	text := d.str()
-	rootName := d.ref()
-	nAttrs := d.uvarint()
-	type kv struct{ k, v string }
-	rootAttrs := make([]kv, nAttrs)
-	for i := range rootAttrs {
-		rootAttrs[i] = kv{d.ref(), d.ref()}
-	}
-	nh := d.uvarint()
-	trees := make([]core.NamedTree, 0, nh)
-	for i := uint64(0); i < nh; i++ {
-		name := d.ref()
-		root := dom.NewElement(rootName)
-		for _, a := range rootAttrs {
-			root.SetAttr(a.k, a.v)
-		}
-		nTop := d.uvarint()
-		for j := uint64(0); j < nTop; j++ {
-			root.AppendChild(d.node(text))
-		}
-		trees = append(trees, core.NamedTree{Name: name, Root: root})
-	}
-	if d.err != nil {
-		return nil, corrupt("%v", d.err)
-	}
-	doc, err := core.Build(trees)
-	if err != nil {
-		return nil, corrupt("rebuilding document: %v", err)
-	}
-	if doc.Text != text {
-		return nil, corrupt("image text inconsistent with markup")
-	}
-	return doc, nil
-}
-
-type decoder struct {
-	r     *bufio.Reader
-	table []string
-	err   error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = err
-	}
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > 1<<30 {
-		d.err = fmt.Errorf("corrupt string length %d", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(buf)
-}
-
-func (d *decoder) ref() string {
-	i := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if i >= uint64(len(d.table)) {
-		d.err = fmt.Errorf("corrupt string reference %d", i)
-		return ""
-	}
-	return d.table[i]
-}
-
-func (d *decoder) node(text string) *dom.Node {
-	kind := dom.Kind(d.uvarint())
-	if d.err != nil {
-		return dom.NewText("")
-	}
-	switch kind {
-	case dom.Element:
-		el := dom.NewElement(d.ref())
-		start := d.uvarint()
-		length := d.uvarint()
-		el.Start, el.End = int(start), int(start+length)
-		na := d.uvarint()
-		for i := uint64(0); i < na; i++ {
-			el.SetAttr(d.ref(), d.ref())
-		}
-		nc := d.uvarint()
-		for i := uint64(0); i < nc && d.err == nil; i++ {
-			el.AppendChild(d.node(text))
-		}
-		return el
-	case dom.Text:
-		start := d.uvarint()
-		length := d.uvarint()
-		if d.err == nil && (start+length > uint64(len(text))) {
-			d.err = fmt.Errorf("corrupt text span [%d,+%d)", start, length)
-			return dom.NewText("")
-		}
-		t := dom.NewText(text[start : start+length])
-		t.Start, t.End = int(start), int(start+length)
-		return t
-	case dom.Comment, dom.ProcInst:
-		n := &dom.Node{Kind: kind, Name: d.str(), Data: d.str()}
-		p := d.uvarint()
-		n.Start, n.End = int(p), int(p)
-		return n
-	}
-	d.err = fmt.Errorf("corrupt node kind %d", kind)
-	return dom.NewText("")
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,28 +120,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestImageSmallerThanXML(t *testing.T) {
-	c := corpus.Generate(corpus.Params{Seed: 3, Words: 1000})
-	d, err := c.Document()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The compactness guarantee belongs to the varint tree encoding; the
-	// v3 slab deliberately trades bytes (fixed-width columns, persisted
-	// indexes) for O(1) open and zero-copy serving.
-	var buf bytes.Buffer
-	if err := EncodeSnapshotV2(&buf, d, 0); err != nil {
-		t.Fatal(err)
-	}
-	xmlSize := 0
-	for _, x := range c.XML {
-		xmlSize += len(x)
-	}
-	if buf.Len() >= xmlSize {
-		t.Errorf("image %d bytes >= XML %d bytes (text should be stored once)", buf.Len(), xmlSize)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	d := corpus.MustBoethius()
 	var buf bytes.Buffer
@@ -189,49 +169,36 @@ func TestDecodeFlagsCorruption(t *testing.T) {
 	img := buf.Bytes()
 	// Every single-byte flip anywhere in the image must surface as the
 	// coded corruption error — that is what the trailer buys.
-	for _, off := range []int{0, 10, len(img) / 2, len(img) - 10, len(img) - 1} {
+	for _, off := range []int{0, 4, 10, len(img) / 2, len(img) - 10, len(img) - 1} {
 		bad := append([]byte(nil), img...)
 		bad[off] ^= 0x01
 		_, err := Decode(bytes.NewReader(bad))
 		if err == nil {
 			t.Fatalf("flip at %d accepted", off)
 		}
-		if off != 4 && !errors.Is(err, ErrCorrupt) {
-			// (offset 4 is the version byte, which may read as a
-			// different-version image instead)
+		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: err = %v, want ErrCorrupt", off, err)
 		}
 	}
 }
 
-func TestDecodeLegacyV1Image(t *testing.T) {
-	d := corpus.MustBoethius()
-	var buf bytes.Buffer
-	if err := EncodeSnapshotV2(&buf, d, 3); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.Bytes()
-	// Rebuild the version-1 layout from the v2 image: same body, but no
-	// rev/snapSeq uvarints (1 byte each here, both < 128) after the
-	// version and no 4-byte trailer.
-	v1 := append([]byte(nil), v2[:len(magic)]...)
-	v1 = append(v1, version1)
-	v1 = append(v1, v2[len(magic)+3:len(v2)-4]...)
-	d2, seq, err := DecodeSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 image: %v", err)
-	}
-	if seq != 0 || d2.Rev != 0 {
-		t.Fatalf("v1 image: rev = %d, seq = %d; want 0, 0", d2.Rev, seq)
-	}
-	if d2.Text != d.Text {
-		t.Fatal("v1 image: text differs")
-	}
-	for _, name := range d.HierarchyNames() {
-		a, _ := d.Serialize(name)
-		b, _ := d2.Serialize(name)
-		if a != b {
-			t.Fatalf("v1 image: hierarchy %s differs", name)
+// TestDecodeRejectsLegacyVersions: images of the retired varint tree
+// formats (v1, and v2 with its CRC32C trailer) are corruption, not
+// documents.
+func TestDecodeRejectsLegacyVersions(t *testing.T) {
+	// One hierarchy "h" of root <r> over the text "x": string table
+	// ["r" "h"], text, root name, no attributes, one hierarchy with one
+	// top-level text node [0,+1).
+	body := "\x02\x01r\x01h\x01x\x00\x00\x01\x01\x01\x01\x00\x01"
+	// magic, version uvarint, then (v2 only) revision and snapshot
+	// sequence uvarints before the body and a CRC32C trailer after it.
+	v1 := []byte("MHXG\x01" + body)
+	v2 := []byte("MHXG\x02\x07\x2a" + body)
+	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2, crc32.MakeTable(crc32.Castagnoli)))
+	for name, img := range map[string][]byte{"v1": v1, "v2": v2} {
+		_, _, err := DecodeSnapshot(bytes.NewReader(img))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s image: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -256,10 +223,10 @@ func TestDecodeRejectsNewerVersion(t *testing.T) {
 	}
 }
 
-// TestV3MatchesHeapDecode: opening a v3 slab image yields a document
-// that is observably identical to the heap decode of the same document
-// from a v2 image — same serialization per hierarchy, same stats, same
-// leaf table, same name-index runs.
+// TestV3MatchesHeapDecode: opening an image yields a document that is
+// observably identical to the heap-built document it was encoded from
+// — same serialization per hierarchy, same stats, same leaf table, same
+// name-index runs — and carries its revision and log coverage.
 func TestV3MatchesHeapDecode(t *testing.T) {
 	for _, seed := range []uint64{2, 9, 31} {
 		c := corpus.Generate(corpus.Params{Seed: seed, Words: 30, DamageRate: 0.2, RestoreRate: 0.2})
@@ -268,45 +235,38 @@ func TestV3MatchesHeapDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Rev = 4
-		var v3, v2 bytes.Buffer
+		var v3 bytes.Buffer
 		if err := EncodeSnapshot(&v3, d, 8); err != nil {
-			t.Fatal(err)
-		}
-		if err := EncodeSnapshotV2(&v2, d, 8); err != nil {
 			t.Fatal(err)
 		}
 		slabDoc, slabSeq, err := DecodeSnapshot(bytes.NewReader(v3.Bytes()))
 		if err != nil {
 			t.Fatalf("seed %d: v3 decode: %v", seed, err)
 		}
-		heapDoc, heapSeq, err := DecodeSnapshot(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: v2 decode: %v", seed, err)
+		if slabSeq != 8 || slabDoc.Rev != d.Rev {
+			t.Fatalf("seed %d: rev/seq diverged: %d/%d vs %d/8",
+				seed, slabDoc.Rev, slabSeq, d.Rev)
 		}
-		if slabSeq != heapSeq || slabDoc.Rev != heapDoc.Rev {
-			t.Fatalf("seed %d: rev/seq diverged: %d/%d vs %d/%d",
-				seed, slabDoc.Rev, slabSeq, heapDoc.Rev, heapSeq)
+		if slabDoc.Stats() != d.Stats() {
+			t.Fatalf("seed %d: stats diverged:\n v3   %+v\n heap %+v",
+				seed, slabDoc.Stats(), d.Stats())
 		}
-		if slabDoc.Stats() != heapDoc.Stats() {
-			t.Fatalf("seed %d: stats diverged:\n v3 %+v\n v2 %+v",
-				seed, slabDoc.Stats(), heapDoc.Stats())
-		}
-		if slabDoc.LeafTable() != heapDoc.LeafTable() {
+		if slabDoc.LeafTable() != d.LeafTable() {
 			t.Fatalf("seed %d: leaf tables diverged", seed)
 		}
-		for _, name := range heapDoc.HierarchyNames() {
+		for _, name := range d.HierarchyNames() {
 			a, err := slabDoc.Serialize(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := heapDoc.Serialize(name)
+			b, err := d.Serialize(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a != b {
-				t.Fatalf("seed %d: hierarchy %s diverged:\n v3 %s\n v2 %s", seed, name, a, b)
+				t.Fatalf("seed %d: hierarchy %s diverged:\n v3   %s\n heap %s", seed, name, a, b)
 			}
-			sh, hh := slabDoc.HierarchyByName(name), heapDoc.HierarchyByName(name)
+			sh, hh := slabDoc.HierarchyByName(name), d.HierarchyByName(name)
 			for sym, want := range hh.RebuildIndexRuns() {
 				if len(want) == 0 {
 					continue

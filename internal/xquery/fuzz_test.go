@@ -84,8 +84,11 @@ func FuzzUpdate(f *testing.F) {
 // the oracle raises a dynamic error — XQuery's errors-and-optimization
 // rule lets it skip operands it does not need, as in (dmg('x')/())[0] —
 // but when the engine fails the oracle must fail with the same code.
-// Each route runs under a 200 ms deadline; an input that hits it on any
-// route (MHXQ0002) is skipped. CI runs this as a non-gating smoke:
+// Every forced plan (planKnobs: chain, nochain, noindex, noreorder,
+// noindex with noreorder) must give the cost-based plan's items and
+// error code. Each route
+// runs under a 200 ms deadline; an input that hits it on any route
+// (MHXQ0002) is skipped. CI runs this as a non-gating smoke:
 // go test -fuzz=FuzzPathRoutes -fuzztime=30s.
 func FuzzPathRoutes(f *testing.F) {
 	g := &qgen{r: rand.New(rand.NewSource(20261017))}
@@ -107,7 +110,7 @@ return (for $n in analyze-string($w, ".*e.*")/child::node()
 		if err != nil {
 			return
 		}
-		run := func(stream, oracle bool) (Seq, error) {
+		run := func(q *Query, stream, oracle bool) (Seq, error) {
 			ctx, cancel := stdctx.WithTimeout(stdctx.Background(), 200*time.Millisecond)
 			defer cancel()
 			debugNaiveSteps = oracle
@@ -117,13 +120,38 @@ return (for $n in analyze-string($w, ".*e.*")/child::node()
 			}
 			return q.EvalContext(ctx, d, nil, nil)
 		}
-		got, gotErr := run(false, false)
-		streamed, streamErr := run(true, false)
-		ref, refErr := run(false, true)
-		codes := [3]string{errCode(gotErr), errCode(streamErr), errCode(refErr)}
+		// Plans are cached per query, so each knob compiles afresh.
+		forced := func(k planKnob) (Seq, error) {
+			forcePlan, forceNoReorder = k.force, k.noReorder
+			defer func() { forcePlan, forceNoReorder = "", false }()
+			fq, err := Compile(src)
+			if err != nil {
+				t.Fatalf("[%s] %q: compile: %v", k.name, src, err)
+			}
+			return run(fq, false, false)
+		}
+		got, gotErr := run(q, false, false)
+		streamed, streamErr := run(q, true, false)
+		ref, refErr := run(q, false, true)
+		codes := []string{errCode(gotErr), errCode(streamErr), errCode(refErr)}
+		knobs := planKnobs[1:]
+		knobGot := make([]Seq, len(knobs))
+		knobErr := make([]error, len(knobs))
+		for i, k := range knobs {
+			knobGot[i], knobErr[i] = forced(k)
+			codes = append(codes, errCode(knobErr[i]))
+		}
 		for _, code := range codes {
 			if code == "MHXQ0002" {
 				t.Skip("deadline exceeded")
+			}
+		}
+		for i, k := range knobs {
+			if codes[3+i] != codes[0] {
+				t.Fatalf("%q: [%s] err=%v, [cost] err=%v", src, k.name, knobErr[i], gotErr)
+			}
+			if gotErr == nil && !sameResult(d, got, knobGot[i]) {
+				t.Fatalf("%q:\n  [%s]: %s\n  [cost]: %s", src, k.name, Serialize(knobGot[i]), Serialize(got))
 			}
 		}
 		if codes[0] != codes[1] {

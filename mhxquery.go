@@ -130,13 +130,15 @@ func (d *Document) SerializeHierarchy(name string) (string, error) {
 	return d.g.Serialize(name)
 }
 
-// Save writes a compact binary image of the document (base text stored
-// once, markup structure with interned names). Read it back with
-// ReadDocument.
+// Save writes a binary image of the document: the base text stored
+// once, columnar markup structure, the interned name table and the
+// name index, each section checksummed. Read it back with ReadDocument.
 func (d *Document) Save(w io.Writer) error { return store.Encode(w, d.g) }
 
 // ReadDocument loads a document from a binary image produced by Save.
-// The document is revalidated and fully re-indexed.
+// The image is validated (checksums and structural invariants) and
+// serves its text and name index directly; node storage is built per
+// hierarchy on first use. A damaged image fails with MHXQ0201.
 func ReadDocument(r io.Reader) (*Document, error) {
 	g, err := store.Decode(r)
 	if err != nil {
